@@ -22,10 +22,9 @@ fn bench_event_queue(c: &mut Criterion) {
     });
     // The hold model is the queue's steady state in a running simulation:
     // a large standing event population where every pop reschedules a new
-    // event a bounded jitter ahead. Both sizes sit above the hybrid
-    // queue's migration threshold, so they exercise the calendar mode —
-    // whose O(1) access beats the binary heap's O(log n) here, while
-    // `push_pop_1k` (below the threshold) exercises the heap mode.
+    // event a bounded jitter ahead. Both sizes time the binary heap's
+    // O(log n) push and pop at depth (~15 and ~18 levels), while
+    // `push_pop_1k` times a fill-and-drain at a small population.
     for &n in &[32_768u64, 262_144] {
         c.bench_function(format!("event_queue_hold_{}k", n >> 10), |b| {
             let mut q = EventQueue::with_capacity(n as usize);

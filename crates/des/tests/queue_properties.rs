@@ -1,7 +1,7 @@
 //! Property-based tests for the event queue and time arithmetic.
 
 use proptest::prelude::*;
-use slingshot_des::{serialization_time, EventQueue, SimDuration, SimTime};
+use slingshot_des::{serialization_time, DetRng, EventQueue, SimDuration, SimTime};
 
 proptest! {
     /// Popping returns events in nondecreasing time order, and equal times
@@ -59,5 +59,58 @@ proptest! {
         prop_assert!(tab >= tb);
         // Exact at 200 Gb/s (40 ps/byte divides exactly).
         prop_assert_eq!(tab, ta + tb);
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(32))]
+
+    /// Order at simulation-sized populations: up to ~20 000 pending events,
+    /// pushes and pops interleaved, times relative to `now()`, and bursts
+    /// of hundreds of events at one instant (as when MPI ranks start
+    /// together). Every push lands at or after `now()` with a fresh
+    /// insertion index, so the whole popped stream must equal the stable
+    /// `(time, insertion)` sort of everything pushed.
+    #[test]
+    fn large_bursty_populations_pop_in_stable_order(
+        peak in 1usize..20_000,
+        burst in 100u64..600,
+        burst_one_in in 1u64..200,
+        spread_ps in 1u64..2_000_000,
+        seed in any::<u64>(),
+    ) {
+        let mut rng = DetRng::seed_from(seed);
+        let mut q = EventQueue::new();
+        let mut pushed: Vec<(u64, usize)> = Vec::new();
+        let mut popped: Vec<(u64, usize)> = Vec::new();
+        // Fill to `peak` (three pushes per pop on average, some of them
+        // bursts), then drain to empty (three pops per single push).
+        for filling in [true, false] {
+            while if filling { q.len() < peak } else { !q.is_empty() } {
+                let one_in_four = rng.below(4) == 0;
+                if filling != one_in_four || q.is_empty() {
+                    let now = q.now().as_ps();
+                    let (t, n) = if filling && rng.below(burst_one_in) == 0 {
+                        // Half the bursts land at the current instant.
+                        (now + rng.below(2) * rng.below(spread_ps), burst)
+                    } else {
+                        (now + rng.below(spread_ps), 1)
+                    };
+                    for _ in 0..n {
+                        q.push(SimTime::from_ps(t), pushed.len());
+                        pushed.push((t, pushed.len()));
+                    }
+                } else {
+                    let next = q.peek_time();
+                    let (t, idx) = q.pop().expect("queue is non-empty");
+                    prop_assert_eq!(Some(t), next);
+                    popped.push((t.as_ps(), idx));
+                }
+                prop_assert_eq!(q.len(), pushed.len() - popped.len());
+            }
+        }
+        prop_assert_eq!(q.events_processed(), popped.len() as u64);
+        pushed.sort_by_key(|&(t, _)| t); // stable: ties keep insertion order
+        prop_assert_eq!(popped, pushed);
     }
 }

@@ -191,25 +191,29 @@ impl Network {
         let link_bps = cfg.link_bytes_per_sec();
         let inj_bps = cfg.injection_bytes_per_sec();
 
-        for sw in 0..n_switches as u32 {
+        // Outgoing channels per switch, bucketed in one pass. Each bucket
+        // keeps channel-list order, which fixes the port numbering.
+        let mut out_channels = vec![Vec::new(); n_switches];
+        for ch in topo.channels() {
+            out_channels[ch.from.index()].push(ch);
+        }
+        for (sw, out) in (0..n_switches as u32).zip(out_channels) {
             let mut ports = Vec::new();
-            for ch in topo.channels() {
-                if ch.from.0 == sw {
-                    chan_port[ch.id.index()] = (sw, ports.len() as u32);
-                    ports.push(OutPort {
-                        kind: PortKind::Channel(ch.id),
-                        queues: vec![VecDeque::new(); n_tc * NUM_VCS],
-                        queued_wire: 0,
-                        busy: false,
-                        outstanding: vec![0; n_tc * NUM_VCS],
-                        pool: buffer_per_class,
-                        rate_bps: link_bps,
-                        prop: SimDuration::from_ns_f64(ch.class.propagation_ns()),
-                        sched: (n_tc > 1)
-                            .then(|| QosScheduler::new(cfg.traffic_classes.clone(), link_bps)),
-                        tx_wire_bytes: 0,
-                    });
-                }
+            for ch in out {
+                chan_port[ch.id.index()] = (sw, ports.len() as u32);
+                ports.push(OutPort {
+                    kind: PortKind::Channel(ch.id),
+                    queues: vec![VecDeque::new(); n_tc * NUM_VCS],
+                    queued_wire: 0,
+                    busy: false,
+                    outstanding: vec![0; n_tc * NUM_VCS],
+                    pool: buffer_per_class,
+                    rate_bps: link_bps,
+                    prop: SimDuration::from_ns_f64(ch.class.propagation_ns()),
+                    sched: (n_tc > 1)
+                        .then(|| QosScheduler::new(cfg.traffic_classes.clone(), link_bps)),
+                    tx_wire_bytes: 0,
+                });
             }
             for node in topo.nodes_of_switch(slingshot_topology::SwitchId(sw)) {
                 eject_port[node.index()] = (sw, ports.len() as u32);
