@@ -2,7 +2,7 @@
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use slingshot::des::{DetRng, EventQueue, SimTime};
-use slingshot::rosetta::{Arbiter16x8, LatencyModel};
+use slingshot::rosetta::LatencyModel;
 use slingshot::routing::{AdaptiveParams, QuietView, Router, RoutingAlgorithm};
 use slingshot::topology::{shandy, SwitchId};
 
@@ -56,17 +56,6 @@ fn bench_rng(c: &mut Criterion) {
             }
             black_box(acc)
         })
-    });
-}
-
-fn bench_arbiter(c: &mut Criterion) {
-    c.bench_function("arbiter_16x8_round", |b| {
-        let mut arb = Arbiter16x8::new();
-        let mut req = [None; 16];
-        for (i, r) in req.iter_mut().enumerate() {
-            *r = Some((i % 8) as u8);
-        }
-        b.iter(|| black_box(arb.arbitrate(&req)))
     });
 }
 
@@ -134,7 +123,6 @@ criterion_group!(
     benches,
     bench_event_queue,
     bench_rng,
-    bench_arbiter,
     bench_latency_model,
     bench_routing_decision,
     bench_next_hop_lookup,

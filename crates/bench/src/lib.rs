@@ -1,1 +1,2 @@
-//! Criterion benches for the Slingshot paper reproduction live in `benches/`.
+//! Simulator benchmarks: the `kernel_bench` perf snapshot lives in
+//! `src/bin/`, the criterion component micro-benches in `benches/`.

@@ -1,25 +1,22 @@
 //! # slingshot-rosetta
 //!
-//! Model of the Rosetta switch ASIC (paper §II-A): the 4 × 8 tile grid with
-//! two ports per tile, row buses and per-tile 16:8 column crossbars, the
-//! five function-specific crossbar planes, the request/grant
-//! virtual-output-queued forwarding that avoids head-of-line blocking, and
-//! a calibrated port-to-port latency model reproducing the paper's Fig. 2
+//! The Rosetta switch ASIC (paper §II-A) as the simulator uses it: the
+//! 4 × 8 tile grid with two ports per tile and the internal route a packet
+//! takes between two ports (row bus, then column channel), plus a
+//! calibrated port-to-port latency model reproducing the paper's Fig. 2
 //! distribution (mean/median ≈ 350 ns, bulk within 300–400 ns).
+//!
+//! Queueing inside the switch is not modelled at flit level; the network
+//! crate's per-(class, VC) output queues provide the head-of-line-blocking
+//! avoidance that Rosetta's request/grant virtual output queues give.
 
 #![warn(missing_docs)]
 
-mod crossbar;
 mod latency;
-mod tiled_switch;
 mod tiles;
-mod voq;
 
-pub use crossbar::{Arbiter16x8, CrossbarPlane};
 pub use latency::LatencyModel;
-pub use tiled_switch::{FlitDelivery, FlitTag, TiledSwitch};
 pub use tiles::{
     internal_hops, internal_route, InternalRoute, Tile, COLS, PORTS, PORTS_PER_TILE, ROWS, TILES,
     XBAR_INPUTS, XBAR_OUTPUTS,
 };
-pub use voq::{Delivery, FifoSwitch, Tag, VoqSwitch};
