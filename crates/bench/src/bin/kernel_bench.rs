@@ -1,23 +1,28 @@
 //! Machine-readable kernel performance snapshot: `BENCH_kernel.json`.
 //!
 //! Times the simulator's hot kernels — next-hop table lookups, adaptive
-//! routing decisions, NIC in-flight accounting, the event queue — and two
-//! end-to-end simulations (16 and 1024 nodes) for events/sec figures. A
+//! routing decisions, NIC in-flight accounting, the event queue — two
+//! end-to-end simulations (16 and 1024 nodes) for events/sec figures, and
+//! the topology build at two sizes for its cost per unit of output. A
 //! counting allocator wraps the system allocator so every record carries
 //! allocs/op next to ns/op: the routing fast path's zero-allocation claim
 //! is measured here on every run, not asserted once in review.
 //!
 //! Options: `--quick` (CI-sized iteration counts), `--out PATH` (default
 //! `BENCH_kernel.json`), `--strict` (non-zero exit if a kernel expected
-//! to be allocation-free allocates, or if the 1024-node rung's events/sec
-//! falls below [`MIN_RUNG_RATIO`] of the 16-node rung's).
+//! to be allocation-free allocates, if the 1024-node rung's events/sec
+//! falls below [`MIN_RUNG_RATIO`] of the 16-node rung's, or if the large
+//! topology build costs more than [`MAX_BUILD_RATIO`] times Shandy's per
+//! unit of output).
 
 use serde::Serialize;
 use slingshot::des::{DetRng, EventQueue, SimTime};
 use slingshot::network::InFlightMap;
 use slingshot::routing::{AdaptiveParams, QuietView, Router, RoutingAlgorithm};
 use slingshot::telemetry::{HopKind, TelemetryConfig, TelemetryHub};
-use slingshot::topology::{shandy, ChannelId, Liveness, NodeId, SwitchId};
+use slingshot::topology::{
+    largest_slingshot, shandy, ChannelId, DragonflyParams, Liveness, NodeId, SwitchId,
+};
 use slingshot::{Profile, System, SystemBuilder};
 use std::alloc::{GlobalAlloc, Layout, System as SystemAlloc};
 use std::hint::black_box;
@@ -63,6 +68,26 @@ struct BenchRecord {
 /// as a queue that degrades at large populations) trips it.
 const MIN_RUNG_RATIO: f64 = 0.25;
 
+/// Largest allowed ratio of the large topology build's ns per unit of
+/// output to Shandy's. A linear build costs the same per unit at every
+/// size, and machine speed cancels out of the ratio; a build step that
+/// scans a table once per switch or per pair grows it with system size.
+const MAX_BUILD_RATIO: f64 = 4.0;
+
+/// One topology-build rung: the median of `builds` timed constructions.
+#[derive(Serialize)]
+struct BuildRung {
+    name: &'static str,
+    groups: u32,
+    switches: u32,
+    channels: u64,
+    /// Output size: channels plus switch × group table rows.
+    units: u64,
+    builds: u32,
+    wall_ns: u64,
+    ns_per_unit: f64,
+}
+
 /// One end-to-end rung: a whole simulation run to quiescence.
 #[derive(Serialize)]
 struct EndToEnd {
@@ -80,6 +105,7 @@ struct Report {
     mode: String,
     benches: Vec<BenchRecord>,
     end_to_end: Vec<EndToEnd>,
+    topology_build: Vec<BuildRung>,
 }
 
 /// Time `iters` calls of `f` after a 1/10 warmup, reading the allocation
@@ -143,6 +169,41 @@ fn end_to_end(name: &'static str, system: System, offsets: &[u32]) -> EndToEnd {
     eprintln!(
         "{:<32} {:>10.0} events/sec ({} events, {} messages)",
         rec.name, rec.events_per_sec, rec.events, rec.messages
+    );
+    rec
+}
+
+/// Build `params` `builds` times and record the median build time, and
+/// that time per unit of output.
+fn topology_build(name: &'static str, params: DragonflyParams, builds: u32) -> BuildRung {
+    let mut walls = Vec::with_capacity(builds as usize);
+    let mut channels = 0;
+    for _ in 0..builds {
+        let start = Instant::now();
+        let topo = params.build();
+        walls.push(start.elapsed().as_nanos() as u64);
+        channels = topo.channels().len() as u64;
+    }
+    walls.sort_unstable();
+    let wall_ns = walls[walls.len() / 2];
+    let switches = params.total_switches();
+    let units = channels + switches as u64 * params.groups as u64;
+    let rec = BuildRung {
+        name,
+        groups: params.groups,
+        switches,
+        channels,
+        units,
+        builds,
+        wall_ns,
+        ns_per_unit: wall_ns as f64 / units as f64,
+    };
+    eprintln!(
+        "{:<32} {:>10.1} ns/unit ({:.3} ms, {} units)",
+        rec.name,
+        rec.ns_per_unit,
+        rec.wall_ns as f64 / 1e6,
+        rec.units
     );
     rec
 }
@@ -364,6 +425,24 @@ fn main() {
         },
     ));
 
+    // Build rungs: Shandy, and the paper's largest system (cut to 136 of
+    // its 545 groups in quick mode), timed per unit of output.
+    let small_build = topology_build("topology_build_shandy", shandy(), 200 * scale as u32);
+    let large_build = if quick {
+        let params = DragonflyParams {
+            groups: 136,
+            ..largest_slingshot()
+        };
+        topology_build("topology_build_136g", params, 5)
+    } else {
+        topology_build("topology_build_545g", largest_slingshot(), 3)
+    };
+    let build_ratio = large_build.ns_per_unit / small_build.ns_per_unit;
+    eprintln!(
+        "{:<32} {build_ratio:>10.3} (gate <= {MAX_BUILD_RATIO})",
+        "build_ratio_large_vs_shandy"
+    );
+
     // Scale rungs: a 16-node neighbour exchange and one 1024-node Shandy
     // shift round, whose pending-event population peaks in the thousands.
     let tiny_rounds: Vec<u32> = (1..=if quick { 4 } else { 32 }).collect();
@@ -376,10 +455,11 @@ fn main() {
     );
 
     let report = Report {
-        schema: 2,
+        schema: 3,
         mode: if quick { "quick" } else { "full" }.to_string(),
         benches,
         end_to_end: vec![tiny, shandy],
+        topology_build: vec![small_build, large_build],
     };
 
     let json = serde_json::to_string_pretty(&report).expect("serialize report");
@@ -404,7 +484,14 @@ fn main() {
              (minimum {MIN_RUNG_RATIO}): per-event cost grows with system size"
         );
     }
-    if strict && (!leaky.is_empty() || cliff) {
+    let superlinear = build_ratio > MAX_BUILD_RATIO;
+    if superlinear {
+        eprintln!(
+            "warning: the large topology build costs {build_ratio:.3}x Shandy's per unit \
+             of output (maximum {MAX_BUILD_RATIO}): the build is super-linear"
+        );
+    }
+    if strict && (!leaky.is_empty() || cliff || superlinear) {
         std::process::exit(1);
     }
 }

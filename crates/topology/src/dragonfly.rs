@@ -8,7 +8,6 @@
 use crate::ids::{ChannelId, GroupId, NodeId, SwitchId};
 use crate::link::LinkClass;
 use serde::Serialize;
-use std::collections::HashMap;
 
 /// Shape parameters of a dragonfly.
 ///
@@ -196,20 +195,28 @@ struct AdjEntry {
 /// [`Dragonfly::next_hops_toward_group`], [`Dragonfly::min_hops`]) are
 /// zero-allocation, zero-hash slice returns or arithmetic:
 ///
-/// * **adjacency CSR** — per-switch neighbor lists (sorted by peer id, each
-///   pointing at its contiguous run of parallel channels) replace the
-///   `HashMap<(SwitchId, SwitchId), Vec<ChannelId>>` of the naive builder;
-///   a switch has at most `radix` neighbors, so a binary search over its
-///   row beats a SipHash lookup by a wide margin.
+/// * **adjacency CSR** — per-switch neighbor lists, sorted by peer id, each
+///   pointing at its contiguous run of parallel channels (in id order); a
+///   switch has at most `radix` neighbors, so a binary search over its row
+///   is all a lookup costs.
+/// * **global CSR** — each switch's optical channels and their receiving
+///   switches, sorted by target group (id order inside a group), and the
+///   per-(group, group) gateway lists in order of each gateway's first
+///   channel into the target. [`Dragonfly::min_hops`] reads these.
 /// * **toward-group CSR** — the full `(switch, destination-group)`
-///   candidate table. Inter-group minimal *and* Valiant queries collapse
+///   candidate table: the switch's direct global channels into the group
+///   if it has any, else the local hops to the group's gateways in
+///   gateway order. Inter-group minimal *and* Valiant queries collapse
 ///   onto this one table because a minimal route toward a switch in
 ///   another group starts exactly like a route toward that group.
 ///
-/// The candidate order inside every slice is byte-identical to what the
-/// legacy on-the-fly computation produced (the tables are *built from* it,
-/// and `debug_assert`s re-verify on construction), so routing behaviour —
-/// including RNG-driven tie-breaks — is unchanged.
+/// Every table is built in one pass over the channels (or over the rows of
+/// the tables before it), sorting only within one switch's or one group's
+/// row, so construction is linear in its output: the paper's 545-group
+/// system builds in under a second. The property tests
+/// in `tests/topology_properties.rs` derive each table's expected contents
+/// and order from [`Dragonfly::channels`] alone; candidate order feeds
+/// RNG-driven tie-breaks, so it is part of the routing behaviour.
 pub struct Dragonfly {
     params: DragonflyParams,
     channels: Vec<Channel>,
@@ -217,19 +224,25 @@ pub struct Dragonfly {
     /// `adj[adj_off[s]..adj_off[s+1]]`, sorted by peer id.
     adj_off: Vec<u32>,
     adj: Vec<AdjEntry>,
-    /// Channel ids backing the adjacency entries (parallel cables
-    /// contiguous, in construction order).
+    /// Channel ids backing the adjacency entries: switch `s`'s outgoing
+    /// channels sorted by peer, parallel cables contiguous in id order.
     adj_channels: Vec<ChannelId>,
     /// Toward-group CSR: candidates for `(switch s, group t)` are
     /// `toward[toward_off[s·g + t]..toward_off[s·g + t + 1]]`.
     toward_off: Vec<u32>,
     toward: Vec<ChannelId>,
-    /// `global_by_group[switch][group]` → this switch's global channels into
-    /// that group.
-    global_by_group: Vec<Vec<Vec<ChannelId>>>,
-    /// `gateways[group][target_group]` → switches in `group` owning a global
-    /// channel into `target_group`.
-    gateways: Vec<Vec<Vec<SwitchId>>>,
+    /// Global CSR: switch `s`'s optical channels are
+    /// `global[global_off[s]..global_off[s+1]]`, sorted by target group,
+    /// in id order inside a group.
+    global_off: Vec<u32>,
+    global: Vec<ChannelId>,
+    /// The receiving switch of each entry of `global`, so lookups by
+    /// target scan one contiguous row.
+    global_to: Vec<SwitchId>,
+    /// Gateway CSR: switches of group `f` owning a global channel into
+    /// group `t` are `gateways[gateway_off[f·g + t]..gateway_off[f·g + t + 1]]`.
+    gateway_off: Vec<u32>,
+    gateways: Vec<SwitchId>,
 }
 
 impl Dragonfly {
@@ -239,24 +252,14 @@ impl Dragonfly {
         let s_total = (g * a) as usize;
 
         let mut channels = Vec::new();
-        let mut between: HashMap<(SwitchId, SwitchId), Vec<ChannelId>> = HashMap::new();
-        let mut global_by_group = vec![vec![Vec::new(); g as usize]; s_total];
-        let mut gateways = vec![vec![Vec::new(); g as usize]; g as usize];
-
-        let add_pair = |channels: &mut Vec<Channel>,
-                        between: &mut HashMap<(SwitchId, SwitchId), Vec<ChannelId>>,
-                        x: SwitchId,
-                        y: SwitchId,
-                        class: LinkClass| {
+        let add_pair = |channels: &mut Vec<Channel>, x: SwitchId, y: SwitchId, class: LinkClass| {
             for (from, to) in [(x, y), (y, x)] {
-                let id = ChannelId(channels.len() as u32);
                 channels.push(Channel {
-                    id,
+                    id: ChannelId(channels.len() as u32),
                     from,
                     to,
                     class,
                 });
-                between.entry((from, to)).or_default().push(id);
             }
         };
 
@@ -267,7 +270,7 @@ impl Dragonfly {
                     let sx = SwitchId(grp * a + x);
                     let sy = SwitchId(grp * a + y);
                     for _ in 0..params.intra_links_per_pair {
-                        add_pair(&mut channels, &mut between, sx, sy, LinkClass::LocalCopper);
+                        add_pair(&mut channels, sx, sy, LinkClass::LocalCopper);
                     }
                 }
             }
@@ -287,56 +290,95 @@ impl Dragonfly {
                 for k in 0..params.global_links_per_pair {
                     let si = SwitchId(i * a + slot_switch(i, j, k));
                     let sj = SwitchId(j * a + slot_switch(j, i, k));
-                    add_pair(
-                        &mut channels,
-                        &mut between,
-                        si,
-                        sj,
-                        LinkClass::GlobalOptical,
-                    );
+                    add_pair(&mut channels, si, sj, LinkClass::GlobalOptical);
                 }
             }
         }
 
-        // Derive global adjacency indices.
+        // ---- Adjacency and global CSRs ----
+        // Bucket channel ids by sending switch with a counting sort, so
+        // each row starts in id order. Sorting a row by (key, id) then
+        // equals a stable sort by key: parallel cables keep id order.
+        let peer = |c: ChannelId| channels[c.index()].to;
+        let peer_group = |c: ChannelId| peer(c).0 / a;
+        let mut row_off = vec![0u32; s_total + 1];
         for ch in &channels {
-            if ch.class == LinkClass::GlobalOptical {
-                let from_grp = (ch.from.0 / a) as usize;
-                let to_grp = (ch.to.0 / a) as usize;
-                global_by_group[ch.from.index()][to_grp].push(ch.id);
-                let gw = &mut gateways[from_grp][to_grp];
-                if !gw.contains(&ch.from) {
-                    gw.push(ch.from);
-                }
-            }
+            row_off[ch.from.index() + 1] += 1;
         }
-
-        // ---- Adjacency CSR (replaces the `between` hash map) ----
-        // Neighbor rows sorted by peer id; each row's parallel channels
-        // keep their construction order so candidate slices are identical
-        // to what the hash-map lookup returned.
+        for i in 0..s_total {
+            row_off[i + 1] += row_off[i];
+        }
+        let mut fill = row_off.clone();
+        let mut adj_channels = vec![ChannelId(0); channels.len()];
+        for ch in &channels {
+            let slot = &mut fill[ch.from.index()];
+            adj_channels[*slot as usize] = ch.id;
+            *slot += 1;
+        }
         let mut adj_off = Vec::with_capacity(s_total + 1);
-        let mut adj: Vec<AdjEntry> = Vec::new();
-        let mut adj_channels: Vec<ChannelId> = Vec::new();
+        let mut adj = Vec::new();
+        let mut global_off = Vec::with_capacity(s_total + 1);
+        let mut global = Vec::new();
+        let mut global_to = Vec::new();
         adj_off.push(0u32);
-        for from in 0..s_total as u32 {
-            let mut peers: Vec<SwitchId> = between
-                .keys()
-                .filter(|(f, _)| f.0 == from)
-                .map(|&(_, t)| t)
-                .collect();
-            peers.sort_unstable();
-            for to in peers {
-                let chans = &between[&(SwitchId(from), to)];
-                let start = adj_channels.len() as u32;
-                adj_channels.extend_from_slice(chans);
+        global_off.push(0u32);
+        for sw in 0..s_total {
+            let (lo, hi) = (row_off[sw] as usize, row_off[sw + 1] as usize);
+            let row = &mut adj_channels[lo..hi];
+            let first = global.len();
+            global.extend(
+                row.iter()
+                    .filter(|c| channels[c.index()].class == LinkClass::GlobalOptical),
+            );
+            global[first..].sort_unstable_by_key(|&c| (peer_group(c), c));
+            global_to.extend(global[first..].iter().map(|&c| peer(c)));
+            global_off.push(global.len() as u32);
+            row.sort_unstable_by_key(|&c| (peer(c), c));
+            let mut start = lo;
+            while start < hi {
+                let to = peer(adj_channels[start]);
+                let mut end = start + 1;
+                while end < hi && peer(adj_channels[end]) == to {
+                    end += 1;
+                }
                 adj.push(AdjEntry {
                     to,
-                    start,
-                    end: adj_channels.len() as u32,
+                    start: start as u32,
+                    end: end as u32,
                 });
+                start = end;
             }
             adj_off.push(adj.len() as u32);
+        }
+
+        // ---- Gateway CSR ----
+        // A switch's first channel into a group heads that group's run in
+        // its global row. Ordering a group's (target, head) pairs lists
+        // each target's gateways in order of first appearance among the
+        // channels.
+        let mut gateway_off = Vec::with_capacity((g * g) as usize + 1);
+        let mut gateways = Vec::new();
+        let mut heads: Vec<(u32, ChannelId, SwitchId)> = Vec::new();
+        gateway_off.push(0u32);
+        for grp in 0..g {
+            heads.clear();
+            for sw in grp * a..(grp + 1) * a {
+                let row =
+                    &global[global_off[sw as usize] as usize..global_off[sw as usize + 1] as usize];
+                for (i, &c) in row.iter().enumerate() {
+                    if i == 0 || peer_group(row[i - 1]) != peer_group(c) {
+                        heads.push((peer_group(c), c, SwitchId(sw)));
+                    }
+                }
+            }
+            heads.sort_unstable();
+            let mut next = heads.iter().peekable();
+            for target in 0..g {
+                while let Some(&(_, _, sw)) = next.next_if(|h| h.0 == target) {
+                    gateways.push(sw);
+                }
+                gateway_off.push(gateways.len() as u32);
+            }
         }
 
         let mut topo = Dragonfly {
@@ -347,63 +389,38 @@ impl Dragonfly {
             adj_channels,
             toward_off: Vec::new(),
             toward: Vec::new(),
-            global_by_group,
+            global_off,
+            global,
+            global_to,
+            gateway_off,
             gateways,
         };
 
         // ---- Toward-group CSR ----
-        // Built by running the reference computation once per (switch,
-        // group) pair; the hot-path accessors then only slice into it.
         let mut toward_off = Vec::with_capacity(s_total * g as usize + 1);
-        let mut toward: Vec<ChannelId> = Vec::new();
+        let mut toward = Vec::new();
         toward_off.push(0u32);
-        for sw in 0..s_total as u32 {
-            for grp in 0..g {
-                toward.extend_from_slice(
-                    &topo.uncached_next_hops_toward_group(SwitchId(sw), GroupId(grp)),
-                );
+        for cur in (0..s_total as u32).map(SwitchId) {
+            let own = topo.group_of(cur);
+            for grp in (0..g).map(GroupId) {
+                if grp != own {
+                    let direct = topo.global_channels(cur, grp);
+                    if direct.is_empty() {
+                        for &gw in topo.gateways(own, grp) {
+                            if gw != cur {
+                                toward.extend_from_slice(topo.channels_between(cur, gw));
+                            }
+                        }
+                    } else {
+                        toward.extend_from_slice(direct);
+                    }
+                }
                 toward_off.push(toward.len() as u32);
             }
         }
         topo.toward_off = toward_off;
         topo.toward = toward;
-
-        #[cfg(debug_assertions)]
-        topo.verify_route_tables();
-
         topo
-    }
-
-    /// Cross-check every precomputed table entry against the legacy
-    /// on-the-fly computation (debug builds only; skipped for very large
-    /// systems to keep debug construction fast).
-    #[cfg(debug_assertions)]
-    fn verify_route_tables(&self) {
-        let s = self.switch_count();
-        if s > 256 {
-            return;
-        }
-        for cur in (0..s).map(SwitchId) {
-            for dst in (0..s).map(SwitchId) {
-                debug_assert_eq!(
-                    self.next_hops_toward_switch(cur, dst),
-                    self.uncached_next_hops_toward_switch(cur, dst).as_slice(),
-                    "toward-switch table mismatch at {cur:?}->{dst:?}"
-                );
-                debug_assert_eq!(
-                    self.min_hops(cur, dst),
-                    self.bfs_min_hops(cur, dst),
-                    "min-hops closed form mismatch at {cur:?}->{dst:?}"
-                );
-            }
-            for grp in (0..self.params.groups).map(GroupId) {
-                debug_assert_eq!(
-                    self.next_hops_toward_group(cur, grp),
-                    self.uncached_next_hops_toward_group(cur, grp).as_slice(),
-                    "toward-group table mismatch at {cur:?}->{grp:?}"
-                );
-            }
-        }
     }
 
     /// The shape parameters.
@@ -475,14 +492,29 @@ impl Dragonfly {
         }
     }
 
-    /// Global channels owned by `sw` into `group`.
+    /// Global channels owned by `sw` into `group`, in id order.
     pub fn global_channels(&self, sw: SwitchId, group: GroupId) -> &[ChannelId] {
-        &self.global_by_group[sw.index()][group.index()]
+        &self.global[self.global_span(sw, group)]
     }
 
-    /// Switches of `from` owning a global channel into `to`.
+    /// The span of `global` holding `sw`'s channels into `group`: two
+    /// partition points over `sw`'s row of receiving switches (at most 17
+    /// entries on Rosetta), which is sorted by group, and group `group`
+    /// owns the switch ids `[group·a, (group+1)·a)`.
+    #[inline]
+    fn global_span(&self, sw: SwitchId, group: GroupId) -> std::ops::Range<usize> {
+        let lo = self.global_off[sw.index()] as usize;
+        let row = &self.global_to[lo..self.global_off[sw.index() + 1] as usize];
+        let a = self.params.switches_per_group;
+        let before = |first: u32| lo + row.partition_point(|s| s.0 < first);
+        before(group.0 * a)..before((group.0 + 1) * a)
+    }
+
+    /// Switches of `from` owning a global channel into `to`, in order of
+    /// their first such channel.
     pub fn gateways(&self, from: GroupId, to: GroupId) -> &[SwitchId] {
-        &self.gateways[from.index()][to.index()]
+        let i = from.index() * self.params.groups as usize + to.index();
+        &self.gateways[self.gateway_off[i] as usize..self.gateway_off[i + 1] as usize]
     }
 
     /// The precomputed toward-group candidate slice for `(sw, grp)`.
@@ -522,46 +554,6 @@ impl Dragonfly {
         self.toward_group_slice(cur, group)
     }
 
-    /// Reference implementation of [`Self::next_hops_toward_switch`]: the
-    /// legacy per-call computation the precomputed tables must match
-    /// element for element. Kept for construction-time `debug_assert`s and
-    /// the property tests; allocates, so not for hot paths.
-    #[doc(hidden)]
-    pub fn uncached_next_hops_toward_switch(&self, cur: SwitchId, dst: SwitchId) -> Vec<ChannelId> {
-        if cur == dst {
-            return Vec::new();
-        }
-        let cur_grp = self.group_of(cur);
-        let dst_grp = self.group_of(dst);
-        if cur_grp == dst_grp {
-            return self.channels_between(cur, dst).to_vec();
-        }
-        self.uncached_next_hops_toward_group(cur, dst_grp)
-    }
-
-    /// Reference implementation of [`Self::next_hops_toward_group`] (see
-    /// [`Self::uncached_next_hops_toward_switch`]).
-    #[doc(hidden)]
-    pub fn uncached_next_hops_toward_group(&self, cur: SwitchId, group: GroupId) -> Vec<ChannelId> {
-        let cur_grp = self.group_of(cur);
-        if cur_grp == group {
-            return Vec::new();
-        }
-        // Direct global channels into the destination group win.
-        let direct = self.global_channels(cur, group);
-        if !direct.is_empty() {
-            return direct.to_vec();
-        }
-        // Otherwise hop to an in-group gateway.
-        let mut out = Vec::new();
-        for &gw in self.gateways(cur_grp, group) {
-            if gw != cur {
-                out.extend_from_slice(self.channels_between(cur, gw));
-            }
-        }
-        out
-    }
-
     /// Minimal switch-to-switch hop count between two switches.
     ///
     /// Closed form over the dragonfly route structure — no BFS, no
@@ -577,52 +569,20 @@ impl Dragonfly {
         if src_grp == dst_grp {
             return 1;
         }
-        let mut best = 4u32;
-        // Direct global channels from src into the destination group.
-        for &ch in self.global_channels(src, dst_grp) {
-            best = best.min(if self.channel(ch).to == dst { 1 } else { 2 });
+        // `src`'s own global channels into the group reach it in 1 hop if
+        // one lands on `dst`, else 2. Without any, a local hop to a gateway
+        // comes first: 2 hops if one of its channels lands on `dst`, else 3.
+        let landings = |sw: SwitchId| &self.global_to[self.global_span(sw, dst_grp)];
+        let direct = landings(src);
+        if !direct.is_empty() {
+            return if direct.contains(&dst) { 1 } else { 2 };
         }
-        // One local hop to an in-group gateway, then its global channels.
-        for &gw in self.gateways(src_grp, dst_grp) {
-            if gw == src {
-                continue;
-            }
-            for &ch in self.global_channels(gw, dst_grp) {
-                best = best.min(if self.channel(ch).to == dst { 2 } else { 3 });
-            }
+        let gateways = self.gateways(src_grp, dst_grp);
+        if gateways.iter().any(|&gw| landings(gw).contains(&dst)) {
+            2
+        } else {
+            3
         }
-        debug_assert!(best <= 3, "dragonfly diameter exceeded — malformed");
-        best
-    }
-
-    /// Reference BFS distance over the minimal-route structure; the closed
-    /// form of [`Self::min_hops`] must agree with it everywhere. Kept for
-    /// construction-time `debug_assert`s and the property tests.
-    #[doc(hidden)]
-    pub fn bfs_min_hops(&self, src: SwitchId, dst: SwitchId) -> u32 {
-        if src == dst {
-            return 0;
-        }
-        let mut frontier = vec![src];
-        let mut visited = vec![false; self.switch_count() as usize];
-        visited[src.index()] = true;
-        for depth in 1..=4 {
-            let mut next = Vec::new();
-            for &sw in &frontier {
-                for &hop in self.next_hops_toward_switch(sw, dst) {
-                    let to = self.channel(hop).to;
-                    if to == dst {
-                        return depth;
-                    }
-                    if !visited[to.index()] {
-                        visited[to.index()] = true;
-                        next.push(to);
-                    }
-                }
-            }
-            frontier = next;
-        }
-        unreachable!("dragonfly diameter exceeded — topology is malformed");
     }
 
     /// Number of inter-switch hops on the minimal path between two nodes

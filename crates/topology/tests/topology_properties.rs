@@ -2,8 +2,10 @@
 
 use proptest::prelude::*;
 use slingshot_topology::{
-    Allocation, AllocationPolicy, DragonflyParams, GroupId, LinkClass, NodeId, SwitchId,
+    crystal, malbec, shandy, tiny, Allocation, AllocationPolicy, ChannelId, Dragonfly,
+    DragonflyParams, GroupId, LinkClass, NodeId, SwitchId,
 };
+use std::collections::BTreeMap;
 
 fn arb_params() -> impl Strategy<Value = DragonflyParams> {
     (1u32..6, 1u32..6, 1u32..5, 1u32..4, 1u32..3).prop_map(|(g, a, p, m, intra)| DragonflyParams {
@@ -128,37 +130,150 @@ proptest! {
         prop_assert!(hops <= 3);
     }
 
-    /// The precomputed CSR route tables are element-for-element identical
-    /// to the per-call computation they replaced, for every (cur, dst)
-    /// pair — same candidates, same order, so adaptive tie-breaking draws
-    /// the same RNG sequence as before the substitution.
+    /// The precomputed route tables hold exactly what the channel list
+    /// implies, in the same order, for every query the routers make.
     #[test]
-    fn precomputed_tables_match_per_call_routing(params in arb_params()) {
-        let d = params.build();
-        let n = d.switch_count();
-        for cur in 0..n {
-            let cur = SwitchId(cur);
-            for dst in 0..n {
-                let dst = SwitchId(dst);
-                prop_assert_eq!(
-                    d.next_hops_toward_switch(cur, dst),
-                    d.uncached_next_hops_toward_switch(cur, dst).as_slice(),
-                    "toward-switch candidates diverge at {:?}->{:?}", cur, dst
-                );
-                prop_assert_eq!(
-                    d.min_hops(cur, dst),
-                    d.bfs_min_hops(cur, dst),
-                    "closed-form distance diverges at {:?}->{:?}", cur, dst
-                );
+    fn precomputed_tables_match_channel_oracle(params in arb_params()) {
+        assert_tables_match_channels(&params.build());
+    }
+}
+
+/// The same oracle over the paper's named systems (all but the 279 040-node
+/// `largest_slingshot`, whose S² pair checks would take minutes).
+#[test]
+fn named_systems_match_channel_oracle() {
+    for params in [tiny(), shandy(), malbec(), crystal()] {
+        assert_tables_match_channels(&params.build());
+    }
+}
+
+/// Check every precomputed table of `d` against expectations derived from
+/// `d.channels()` and `d.params()` alone, never from the tables under test:
+///
+/// * `channels_between(x, y)`: the ids with `from == x && to == y`;
+/// * `global_channels(s, t)`: `s`'s optical channels into group `t`;
+/// * `gateways(f, t)`: switches of `f` with an optical channel into `t`,
+///   in order of first appearance;
+/// * toward group `t`: the direct global channels, or else the local hops
+///   to `t`'s gateways (other than the switch itself) in gateway order;
+/// * `min_hops`: a BFS over local channels inside the source and
+///   destination groups plus the global channels between them.
+///
+/// Every list is in channel-id order unless stated otherwise: candidate
+/// order feeds the routers' RNG tie-breaks, so it is checked too.
+fn assert_tables_match_channels(d: &Dragonfly) {
+    let p = *d.params();
+    let a = p.switches_per_group;
+    let group = |s: SwitchId| s.0 / a;
+    let mut between: BTreeMap<(SwitchId, SwitchId), Vec<ChannelId>> = BTreeMap::new();
+    let mut global: BTreeMap<(SwitchId, u32), Vec<ChannelId>> = BTreeMap::new();
+    let mut gateways: BTreeMap<(u32, u32), Vec<SwitchId>> = BTreeMap::new();
+    for (i, ch) in d.channels().iter().enumerate() {
+        assert_eq!(ch.id.index(), i, "channels() out of id order");
+        between.entry((ch.from, ch.to)).or_default().push(ch.id);
+        if ch.class == LinkClass::GlobalOptical {
+            global
+                .entry((ch.from, group(ch.to)))
+                .or_default()
+                .push(ch.id);
+            let gws = gateways.entry((group(ch.from), group(ch.to))).or_default();
+            if !gws.contains(&ch.from) {
+                gws.push(ch.from);
             }
-            for grp in 0..params.groups {
-                let grp = GroupId(grp);
-                prop_assert_eq!(
-                    d.next_hops_toward_group(cur, grp),
-                    d.uncached_next_hops_toward_group(cur, grp).as_slice(),
-                    "toward-group candidates diverge at {:?}->{:?}", cur, grp
+        }
+    }
+    let toward_group = |cur: SwitchId, t: u32| -> Vec<ChannelId> {
+        if group(cur) == t {
+            return Vec::new();
+        }
+        if let Some(direct) = global.get(&(cur, t)) {
+            return direct.clone();
+        }
+        entry(&gateways, (group(cur), t))
+            .iter()
+            .filter(|&&gw| gw != cur)
+            .flat_map(|&gw| entry(&between, (cur, gw)).iter().copied())
+            .collect()
+    };
+    // Hop counts from `src` along minimal dragonfly routes into group `t`,
+    // one BFS level per pass over the channels.
+    let min_route_hops = |src: SwitchId, t: u32| -> Vec<Option<u32>> {
+        let s = group(src);
+        let mut hops = vec![None; p.total_switches() as usize];
+        hops[src.index()] = Some(0);
+        for depth in 1.. {
+            let mut reached = false;
+            for ch in d.channels() {
+                let (f, to) = (group(ch.from), group(ch.to));
+                let allowed = (f == to && (f == s || f == t)) || (f == s && to == t);
+                if allowed
+                    && hops[ch.from.index()] == Some(depth - 1)
+                    && hops[ch.to.index()].is_none()
+                {
+                    hops[ch.to.index()] = Some(depth);
+                    reached = true;
+                }
+            }
+            if !reached {
+                break;
+            }
+        }
+        hops
+    };
+
+    for cur in (0..p.total_switches()).map(SwitchId) {
+        for t in 0..p.groups {
+            let grp = GroupId(t);
+            assert_eq!(
+                d.global_channels(cur, grp),
+                entry(&global, (cur, t)),
+                "global channels of {cur:?} into {grp:?}"
+            );
+            let toward = toward_group(cur, t);
+            assert_eq!(
+                d.next_hops_toward_group(cur, grp),
+                toward.as_slice(),
+                "{cur:?} toward {grp:?}"
+            );
+            let hops = min_route_hops(cur, t);
+            for dst in (t * a..(t + 1) * a).map(SwitchId) {
+                assert_eq!(
+                    d.channels_between(cur, dst),
+                    entry(&between, (cur, dst)),
+                    "channels {cur:?}->{dst:?}"
+                );
+                let expected = if cur == dst {
+                    &[][..]
+                } else if group(cur) == t {
+                    entry(&between, (cur, dst))
+                } else {
+                    toward.as_slice()
+                };
+                assert_eq!(
+                    d.next_hops_toward_switch(cur, dst),
+                    expected,
+                    "{cur:?} toward {dst:?}"
+                );
+                assert_eq!(
+                    Some(d.min_hops(cur, dst)),
+                    hops[dst.index()],
+                    "min hops {cur:?}->{dst:?}"
                 );
             }
         }
     }
+    for f in 0..p.groups {
+        for t in 0..p.groups {
+            assert_eq!(
+                d.gateways(GroupId(f), GroupId(t)),
+                entry(&gateways, (f, t)),
+                "gateways of group {f} into {t}"
+            );
+        }
+    }
+}
+
+/// The list stored under `key`, or an empty one.
+fn entry<K: Ord, V>(map: &BTreeMap<K, Vec<V>>, key: K) -> &[V] {
+    map.get(&key).map_or(&[], Vec::as_slice)
 }

@@ -1,14 +1,16 @@
 //! Explore the dragonfly topologies of the paper: the measured systems
 //! (Shandy, Malbec, Crystal) and the largest 1-D dragonfly buildable from
-//! 64-port Rosetta switches (279 040 endpoints, §II-B).
+//! 64-port Rosetta switches (279 040 endpoints, §II-B), which it builds in
+//! full and checks port by port against the paper's arithmetic.
 //!
 //! ```text
 //! cargo run --release --example topology_explorer
 //! ```
 
 use slingshot::topology::{
-    crystal, largest_slingshot, malbec, shandy, tiny, GroupId, ROSETTA_RADIX,
+    crystal, largest_slingshot, malbec, shandy, tiny, GroupId, LinkClass, ROSETTA_RADIX,
 };
+use std::time::Instant;
 
 fn main() {
     println!(
@@ -54,7 +56,7 @@ fn main() {
         d.bisection_channels(&left).len()
     );
     println!(
-        "  switch-to-switch diameter verified by BFS: {}",
+        "  switch-to-switch diameter of the built topology (largest min_hops): {}",
         (0..d.switch_count())
             .flat_map(|a| (0..d.switch_count()).map(move |b| (a, b)))
             .map(|(a, b)| d.min_hops(
@@ -74,11 +76,33 @@ fn main() {
         big.endpoints_per_switch,
         big.total_nodes()
     );
+    let start = Instant::now();
+    let d = big.build();
     println!(
-        "  ports used per switch: {} + {} + {} = {} (= full radix)",
-        big.endpoints_per_switch,
-        big.switches_per_group - 1,
-        big.global_ports_per_switch(),
-        big.ports_needed_per_switch()
+        "  built in {:.2} s: {} switches, {} directed channels",
+        start.elapsed().as_secs_f64(),
+        d.switch_count(),
+        d.channels().len()
+    );
+    // Count each switch's switch-to-switch ports in the built topology.
+    let mut local = vec![0u32; d.switch_count() as usize];
+    let mut global = vec![0u32; d.switch_count() as usize];
+    for ch in d.channels() {
+        if ch.class == LinkClass::GlobalOptical {
+            global[ch.from.index()] += 1;
+        } else {
+            local[ch.from.index()] += 1;
+        }
+    }
+    let intra = *local.iter().max().expect("the system has switches");
+    let most_global = *global.iter().max().expect("the system has switches");
+    assert!(local.iter().all(|&n| n == intra), "uneven intra-group mesh");
+    assert_eq!(intra, big.switches_per_group - 1);
+    assert_eq!(most_global, big.global_ports_per_switch());
+    let ports = big.endpoints_per_switch + intra + most_global;
+    assert_eq!(ports, ROSETTA_RADIX);
+    println!(
+        "  ports used per switch in the built topology: {} + {} intra + ≤ {} global = {} (= full radix)",
+        big.endpoints_per_switch, intra, most_global, ports
     );
 }
