@@ -1,24 +1,29 @@
 //! Machine-readable kernel performance snapshot: `BENCH_kernel.json`.
 //!
 //! Times the simulator's hot kernels — next-hop table lookups, adaptive
-//! routing decisions, NIC in-flight accounting, the event queue — two
-//! end-to-end simulations (16 and 1024 nodes) for events/sec figures, and
-//! the topology build at two sizes for its cost per unit of output. A
-//! counting allocator wraps the system allocator so every record carries
-//! allocs/op next to ns/op: the routing fast path's zero-allocation claim
-//! is measured here on every run, not asserted once in review.
+//! routing decisions, NIC in-flight accounting, multi-class port
+//! arbitration, the event queue — two end-to-end simulations (16 and 1024
+//! nodes) for events/sec figures, and the topology build at two sizes for
+//! its cost per unit of output. A counting allocator wraps the system
+//! allocator so every record carries allocs/op next to ns/op: the routing
+//! fast path's zero-allocation claim is measured here on every run, not
+//! asserted once in review. The 1024-node rung repeats its round, and the
+//! repeat's allocations per event show whether a warmed simulation still
+//! allocates per packet.
 //!
 //! Options: `--quick` (CI-sized iteration counts), `--out PATH` (default
 //! `BENCH_kernel.json`), `--strict` (non-zero exit if a kernel expected
 //! to be allocation-free allocates, if the 1024-node rung's events/sec
-//! falls below [`MIN_RUNG_RATIO`] of the 16-node rung's, or if the large
-//! topology build costs more than [`MAX_BUILD_RATIO`] times Shandy's per
-//! unit of output).
+//! falls below [`MIN_RUNG_RATIO`] of the 16-node rung's, if its warmed
+//! round allocates more than [`MAX_WARM_ALLOCS_PER_EVENT`] times per
+//! event, or if the large topology build costs more than
+//! [`MAX_BUILD_RATIO`] times Shandy's per unit of output).
 
 use serde::Serialize;
-use slingshot::des::{DetRng, EventQueue, SimTime};
-use slingshot::network::InFlightMap;
-use slingshot::routing::{AdaptiveParams, QuietView, Router, RoutingAlgorithm};
+use slingshot::des::{DetRng, EventQueue, SimDuration, SimTime};
+use slingshot::network::{InFlightMap, InSource, MessageId, OutPort, Packet, PortKind, NUM_VCS};
+use slingshot::qos::{QosScheduler, TrafficClassSet};
+use slingshot::routing::{AdaptiveParams, QuietView, RouteState, Router, RoutingAlgorithm, Via};
 use slingshot::telemetry::{HopKind, TelemetryConfig, TelemetryHub};
 use slingshot::topology::{
     largest_slingshot, shandy, ChannelId, DragonflyParams, Liveness, NodeId, SwitchId,
@@ -74,6 +79,15 @@ const MIN_RUNG_RATIO: f64 = 0.25;
 /// scans a table once per switch or per pair grows it with system size.
 const MAX_BUILD_RATIO: f64 = 4.0;
 
+/// Largest allowed allocations per event over the 1024-node rung's warmed
+/// round. Its traffic repeats the first round's, so the event heap, the
+/// packet slab and the NIC maps already have the capacity they need. What
+/// is left is amortized growth: the message log doubling, and a VOQ
+/// reaching a depth it never reached before (adaptive routing draws
+/// differ between rounds) — 166 allocations in 229 k events (7.3e-4).
+/// One allocation per message would be 4.5e-3, one per packet 7e-2.
+const MAX_WARM_ALLOCS_PER_EVENT: f64 = 2e-3;
+
 /// One topology-build rung: the median of `builds` timed constructions.
 #[derive(Serialize)]
 struct BuildRung {
@@ -97,6 +111,13 @@ struct EndToEnd {
     events: u64,
     wall_ns: u64,
     events_per_sec: f64,
+    /// Events of the last round.
+    last_round_events: u64,
+    /// Allocations per event over the last round.
+    last_round_allocs_per_event: f64,
+    /// Packet-slab slots at the end: the peak number of packets carried
+    /// by pending events.
+    packet_slab_len: usize,
 }
 
 #[derive(Serialize)]
@@ -136,15 +157,20 @@ fn bench<F: FnMut()>(name: &str, iters: u64, zero_alloc_required: bool, mut f: F
 }
 
 /// Run `offsets.len()` rounds on `system`: each round every node sends
-/// 64 KiB to `(src + offset) mod n`, then the network runs to quiescence.
+/// 64 KiB to `(src + offset) mod n`, then the network runs to quiescence
+/// and its notifications are drained into a reused buffer.
 fn end_to_end(name: &'static str, system: System, offsets: &[u32]) -> EndToEnd {
     let mut net = SystemBuilder::new(system, Profile::Slingshot)
         .seed(7)
         .build();
     let n = net.node_count();
     let mut messages = 0u64;
+    let mut notes = Vec::new();
+    let (mut last_round_events, mut last_round_allocs) = (0, 0);
     let start = Instant::now();
     for &offset in offsets {
+        let events_before = net.events_processed();
+        let allocs_before = ALLOCS.load(Ordering::Relaxed);
         for src in 0..n {
             let dst = (src + offset) % n;
             if src == dst {
@@ -155,6 +181,10 @@ fn end_to_end(name: &'static str, system: System, offsets: &[u32]) -> EndToEnd {
         }
         net.run_to_quiescence(u64::MAX)
             .expect("quiesces within budget");
+        net.drain_notifications_into(&mut notes);
+        notes.clear();
+        last_round_events = net.events_processed() - events_before;
+        last_round_allocs = ALLOCS.load(Ordering::Relaxed) - allocs_before;
     }
     let wall = start.elapsed();
     let events = net.kernel_stats().events_total();
@@ -165,12 +195,62 @@ fn end_to_end(name: &'static str, system: System, offsets: &[u32]) -> EndToEnd {
         events,
         wall_ns: wall.as_nanos() as u64,
         events_per_sec: events as f64 / wall.as_secs_f64(),
+        last_round_events,
+        // An offset that is a multiple of `n` makes an empty round.
+        last_round_allocs_per_event: last_round_allocs as f64 / last_round_events.max(1) as f64,
+        packet_slab_len: net.packet_slab_len(),
     };
     eprintln!(
-        "{:<32} {:>10.0} events/sec ({} events, {} messages)",
-        rec.name, rec.events_per_sec, rec.events, rec.messages
+        "{:<32} {:>10.0} events/sec ({} events, {} messages; last round {:.2e} allocs/event, \
+         slab {} packets)",
+        rec.name,
+        rec.events_per_sec,
+        rec.events,
+        rec.messages,
+        rec.last_round_allocs_per_event,
+        rec.packet_slab_len
     );
     rec
+}
+
+/// A channel port serving the Fig. 14 class pair, holding eight MTU
+/// packets in each class.
+fn two_class_port() -> OutPort {
+    let classes = TrafficClassSet::fig14();
+    let n_tc = classes.len();
+    let mut port = OutPort {
+        kind: PortKind::Channel(ChannelId(0)),
+        queues: vec![Default::default(); n_tc * NUM_VCS],
+        queued_wire: 0,
+        busy: false,
+        outstanding: vec![0; n_tc * NUM_VCS],
+        pool: 1 << 30,
+        rate_bps: 25e9,
+        prop: SimDuration::from_ns(13),
+        sched: Some(QosScheduler::new(classes, 25e9)),
+        tx_wire_bytes: 0,
+    };
+    for i in 0..8 * n_tc as u32 {
+        port.enqueue(Packet {
+            msg: MessageId(i as u64),
+            src: NodeId(0),
+            dst: NodeId(1),
+            payload: 4096,
+            wire: 4158,
+            tc: (i % n_tc as u32) as u8,
+            routed: true,
+            route: RouteState::new(SwitchId(0), Via::Direct),
+            cur_source: InSource::Node(NodeId(0)),
+            path_delay: SimDuration::ZERO,
+            ep_depth: 0,
+            born: SimTime::ZERO,
+            chunk: 0,
+            copy: 0,
+            llr: 0,
+            traced: false,
+        });
+    }
+    port
 }
 
 /// Build `params` `builds` times and record the median build time, and
@@ -304,6 +384,26 @@ fn main() {
             inflight.add(key, 4096);
             black_box(inflight.get(key));
             inflight.sub(key, 4096);
+        },
+    ));
+
+    // Multi-class arbitration (Fig. 13/14 ports): pick a class and VC,
+    // serve the head, return its credit and requeue it, one MTU time per
+    // pick so the scheduler's token buckets see a saturated link.
+    let mut port = two_class_port();
+    let mut at = SimTime::ZERO;
+    let mtu_time = port.serialization(4158);
+    benches.push(bench(
+        "switch_pick_two_class",
+        200_000 * scale,
+        true,
+        || {
+            let (tc, vc) = port.pick(at).expect("both classes backlogged");
+            let pkt = port.take(tc, vc, at);
+            port.credit_return(tc, vc, pkt.wire)
+                .expect("credit was outstanding");
+            port.enqueue(black_box(pkt));
+            at += mtu_time;
         },
     ));
 
@@ -443,19 +543,21 @@ fn main() {
         "build_ratio_large_vs_shandy"
     );
 
-    // Scale rungs: a 16-node neighbour exchange and one 1024-node Shandy
-    // shift round, whose pending-event population peaks in the thousands.
+    // Scale rungs: a 16-node neighbour exchange and two identical
+    // 1024-node Shandy shift rounds, whose pending-event population peaks
+    // in the thousands; the second round runs on warmed buffers.
     let tiny_rounds: Vec<u32> = (1..=if quick { 4 } else { 32 }).collect();
     let tiny = end_to_end("end_to_end_tiny", System::Tiny, &tiny_rounds);
-    let shandy = end_to_end("end_to_end_shandy_1024", System::Shandy, &[257]);
+    let shandy = end_to_end("end_to_end_shandy_1024", System::Shandy, &[257, 257]);
     let rung_ratio = shandy.events_per_sec / tiny.events_per_sec;
     eprintln!(
         "{:<32} {rung_ratio:>10.3} (gate >= {MIN_RUNG_RATIO})",
         "rung_ratio_1024_vs_16"
     );
+    let warm_allocs = shandy.last_round_allocs_per_event;
 
     let report = Report {
-        schema: 3,
+        schema: 4,
         mode: if quick { "quick" } else { "full" }.to_string(),
         benches,
         end_to_end: vec![tiny, shandy],
@@ -484,6 +586,13 @@ fn main() {
              (minimum {MIN_RUNG_RATIO}): per-event cost grows with system size"
         );
     }
+    let warm_allocating = warm_allocs > MAX_WARM_ALLOCS_PER_EVENT;
+    if warm_allocating {
+        eprintln!(
+            "warning: the 1024-node rung's warmed round allocates {warm_allocs:.2e} times \
+             per event (maximum {MAX_WARM_ALLOCS_PER_EVENT:.0e}): the event path allocates"
+        );
+    }
     let superlinear = build_ratio > MAX_BUILD_RATIO;
     if superlinear {
         eprintln!(
@@ -491,7 +600,7 @@ fn main() {
              of output (maximum {MAX_BUILD_RATIO}): the build is super-linear"
         );
     }
-    if strict && (!leaky.is_empty() || cliff || superlinear) {
+    if strict && (!leaky.is_empty() || cliff || warm_allocating || superlinear) {
         std::process::exit(1);
     }
 }

@@ -99,6 +99,8 @@ pub struct Engine {
     jobs: Vec<JobRt>,
     msg_meta: Vec<MsgMeta>,
     marks: Vec<MarkRecord>,
+    /// Reused drain buffer for the network's notifications.
+    notes: Vec<Notification>,
 }
 
 impl Engine {
@@ -110,6 +112,7 @@ impl Engine {
             jobs: Vec::new(),
             msg_meta: Vec::new(),
             marks: Vec::new(),
+            notes: Vec::new(),
         }
     }
 
@@ -268,9 +271,12 @@ impl Engine {
         if !self.net.has_notifications() {
             return;
         }
-        for n in self.net.take_notifications() {
+        let mut notes = std::mem::take(&mut self.notes);
+        self.net.drain_notifications_into(&mut notes);
+        for n in notes.drain(..) {
             self.handle(n);
         }
+        self.notes = notes;
     }
 
     fn stuck_summary(&self) -> Vec<(usize, Rank, Blocked, usize)> {

@@ -46,4 +46,4 @@ pub use kernel::{global_kernel_stats, KernelStats};
 pub use network::{NetStats, Network};
 pub use nic::{CcEngine, Nic};
 pub use packet::{InSource, MessageId, Notification, Packet};
-pub use switch::{OutPort, PortKind, Switch};
+pub use switch::{OutPort, PortKind, Switch, NUM_VCS};

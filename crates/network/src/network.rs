@@ -20,18 +20,19 @@ use slingshot_telemetry::{HopKind, TelemetryHub, TelemetryReport};
 use slingshot_topology::{ChannelId, Dragonfly, Liveness, NodeId, SwitchId};
 use std::collections::VecDeque;
 
-/// Simulator events.
+/// Simulator events. A packet rides in the [`PacketSlab`]; events name
+/// it by its `u32` handle `h`.
 enum Event {
     /// The injection link finished serializing a packet.
-    NicTxDone { node: u32, pkt: Packet },
+    NicTxDone { node: u32, h: u32 },
     /// A packet arrived at a switch (input buffer already reserved by the
     /// sender-side credit).
-    ArriveSwitch { sw: u32, pkt: Packet },
+    ArriveSwitch { sw: u32, h: u32 },
     /// A packet finished crossing the switch fabric and joins an output
     /// queue.
-    EnqueueOut { sw: u32, port: u32, pkt: Packet },
+    EnqueueOut { sw: u32, port: u32, h: u32 },
     /// An output port finished serializing a packet.
-    TxDone { sw: u32, port: u32, pkt: Packet },
+    TxDone { sw: u32, port: u32, h: u32 },
     /// A link-level credit returns to the sender side.
     CreditReturn {
         target: CreditTarget,
@@ -40,18 +41,10 @@ enum Event {
         bytes: u32,
     },
     /// A packet fully arrived at its destination node.
-    ArriveNic { pkt: Packet },
-    /// An end-to-end ack reached the source NIC.
-    AckArrive {
-        src: u32,
-        dst: u32,
-        wire: u32,
-        msg: MessageId,
-        chunk: u32,
-        copy: u32,
-        congested: bool,
-        depth: u64,
-    },
+    ArriveNic { h: u32 },
+    /// The end-to-end ack of the delivered packet `h` reached its source
+    /// NIC.
+    AckArrive { h: u32 },
     /// A node-local message completed its loopback.
     Loopback { msg: MessageId },
     /// A user timer fired.
@@ -66,6 +59,51 @@ enum Event {
     },
     /// A link taken down by LLR escalation finished its retrain.
     LinkRepair { ch: ChannelId },
+}
+
+// Heap sifts move whole events; an 88 B `Packet` by value would make one 104 B.
+const _: () = assert!(std::mem::size_of::<Event>() <= 24);
+
+/// Packets in flight between two events, addressed by `u32` handles.
+///
+/// A LIFO free list hands the slot freed by the event being dispatched to
+/// the packet that event schedules next, so the slab grows to the peak
+/// number of packet-carrying pending events and is reused from then on.
+/// Packets waiting in a VOQ or a NIC's retransmit queue are held there by
+/// value, not here.
+#[derive(Default)]
+struct PacketSlab {
+    slots: Vec<Packet>,
+    free: Vec<u32>,
+}
+
+impl PacketSlab {
+    /// Store `pkt` and return its handle.
+    #[inline]
+    fn park(&mut self, pkt: Packet) -> u32 {
+        match self.free.pop() {
+            Some(h) => {
+                self.slots[h as usize] = pkt;
+                h
+            }
+            None => {
+                self.slots.push(pkt);
+                (self.slots.len() - 1) as u32
+            }
+        }
+    }
+
+    /// Copy the packet out of slot `h` and free the slot.
+    #[inline]
+    fn take(&mut self, h: u32) -> Packet {
+        self.free.push(h);
+        self.slots[h as usize]
+    }
+
+    /// Slots holding a packet.
+    fn live(&self) -> usize {
+        self.slots.len() - self.free.len()
+    }
 }
 
 /// Hop budget for route healing: a packet whose route has already grown
@@ -140,6 +178,8 @@ pub struct Network {
     cfg: NetworkConfig,
     topo: Dragonfly,
     queue: EventQueue<Event>,
+    /// Packets referenced by pending events.
+    slab: PacketSlab,
     rng: DetRng,
     switches: Vec<Switch>,
     nics: Vec<Nic>,
@@ -287,6 +327,7 @@ impl Network {
             cfg,
             topo,
             queue,
+            slab: PacketSlab::default(),
             rng,
             switches,
             nics,
@@ -499,6 +540,26 @@ impl Network {
         std::mem::take(&mut self.notifications)
     }
 
+    /// Move pending notifications onto the end of `out`. Unlike
+    /// [`Network::take_notifications`], both buffers keep their capacity,
+    /// so a caller draining after every event allocates nothing in the
+    /// steady state.
+    pub fn drain_notifications_into(&mut self, out: &mut Vec<Notification>) {
+        out.append(&mut self.notifications);
+    }
+
+    /// Slots in the packet slab: the high-water mark of packets carried by
+    /// pending events (the slab never shrinks).
+    pub fn packet_slab_len(&self) -> usize {
+        self.slab.slots.len()
+    }
+
+    /// Packets currently held in the slab by pending events; 0 once the
+    /// network quiesces.
+    pub fn packet_slab_live(&self) -> usize {
+        self.slab.live()
+    }
+
     /// Whether notifications are pending.
     pub fn has_notifications(&self) -> bool {
         !self.notifications.is_empty()
@@ -667,20 +728,24 @@ impl Network {
 
     fn dispatch(&mut self, now: SimTime, ev: Event) {
         match ev {
-            Event::NicTxDone { node, pkt } => {
+            Event::NicTxDone { node, h } => {
                 self.kernel.events_nic_tx += 1;
+                let pkt = self.slab.take(h);
                 self.nic_tx_done(node, pkt, now)
             }
-            Event::ArriveSwitch { sw, pkt } => {
+            Event::ArriveSwitch { sw, h } => {
                 self.kernel.events_arrive_switch += 1;
+                let pkt = self.slab.take(h);
                 self.arrive_switch(sw, pkt, now)
             }
-            Event::EnqueueOut { sw, port, pkt } => {
+            Event::EnqueueOut { sw, port, h } => {
                 self.kernel.events_enqueue_out += 1;
+                let pkt = self.slab.take(h);
                 self.enqueue_out(sw, port, pkt, now)
             }
-            Event::TxDone { sw, port, pkt } => {
+            Event::TxDone { sw, port, h } => {
                 self.kernel.events_tx_done += 1;
+                let pkt = self.slab.take(h);
                 self.tx_done(sw, port, pkt, now)
             }
             Event::CreditReturn {
@@ -692,22 +757,15 @@ impl Network {
                 self.kernel.events_credit += 1;
                 self.credit_return(target, tc, vc, bytes, now)
             }
-            Event::ArriveNic { pkt } => {
+            Event::ArriveNic { h } => {
                 self.kernel.events_arrive_nic += 1;
+                let pkt = self.slab.take(h);
                 self.arrive_nic(pkt, now)
             }
-            Event::AckArrive {
-                src,
-                dst,
-                wire,
-                msg,
-                chunk,
-                copy,
-                congested,
-                depth,
-            } => {
+            Event::AckArrive { h } => {
                 self.kernel.events_ack += 1;
-                self.ack_arrive(src, dst, wire, msg, chunk, copy, congested, depth, now)
+                let pkt = self.slab.take(h);
+                self.ack_arrive(&pkt, now)
             }
             Event::Loopback { msg } => {
                 self.kernel.events_loopback += 1;
@@ -815,7 +873,8 @@ impl Network {
                         );
                     }
                 }
-                self.queue.push(now + ser, Event::NicTxDone { node, pkt });
+                let h = self.slab.park(pkt);
+                self.queue.push(now + ser, Event::NicTxDone { node, h });
                 return;
             }
             nic.active.rotate_left(1);
@@ -866,7 +925,8 @@ impl Network {
                 );
             }
         }
-        self.queue.push(now + ser, Event::NicTxDone { node, pkt });
+        let h = self.slab.park(pkt);
+        self.queue.push(now + ser, Event::NicTxDone { node, h });
     }
 
     fn nic_tx_done(&mut self, node: u32, mut pkt: Packet, now: SimTime) {
@@ -887,7 +947,8 @@ impl Network {
             }
         }
         let sw = self.topo.switch_of_node(NodeId(node)).0;
-        self.queue.push(now + prop, Event::ArriveSwitch { sw, pkt });
+        let h = self.slab.park(pkt);
+        self.queue.push(now + prop, Event::ArriveSwitch { sw, h });
         self.try_inject(node, now);
     }
 
@@ -981,12 +1042,13 @@ impl Network {
         let out_p = self.rng.below(64) as u8;
         let lat = self.cfg.switch_latency.sample(&mut self.rng, in_p, out_p);
         pkt.path_delay += lat;
+        let h = self.slab.park(pkt);
         self.queue.push(
             now + lat,
             Event::EnqueueOut {
                 sw,
                 port: port_idx,
-                pkt,
+                h,
             },
         );
     }
@@ -1070,7 +1132,8 @@ impl Network {
                 );
             }
         }
-        self.queue.push(now + ser, Event::TxDone { sw, port, pkt });
+        let h = self.slab.park(pkt);
+        self.queue.push(now + ser, Event::TxDone { sw, port, h });
     }
 
     /// A port with backlog found no transmittable VOQ: record a stall
@@ -1125,12 +1188,14 @@ impl Network {
                 pkt.cur_source = InSource::Channel(ch);
                 pkt.route.hops += 1;
                 pkt.path_delay += prop;
+                let h = self.slab.park(pkt);
                 self.queue
-                    .push(now + prop, Event::ArriveSwitch { sw: to, pkt });
+                    .push(now + prop, Event::ArriveSwitch { sw: to, h });
             }
             PortKind::Eject(_) => {
                 pkt.path_delay += prop;
-                self.queue.push(now + prop, Event::ArriveNic { pkt });
+                let h = self.slab.park(pkt);
+                self.queue.push(now + prop, Event::ArriveNic { h });
             }
         }
         self.try_start_tx(sw, port, now);
@@ -1215,14 +1280,8 @@ impl Network {
                     );
                 }
             }
-            self.queue.push(
-                now + replay,
-                Event::TxDone {
-                    sw,
-                    port,
-                    pkt: *pkt,
-                },
-            );
+            let h = self.slab.park(*pkt);
+            self.queue.push(now + replay, Event::TxDone { sw, port, h });
             TxVerdict::Replayed
         } else {
             // Replay budget exhausted: declare the link bad, destroy the
@@ -1537,7 +1596,7 @@ impl Network {
                 // stops retrying, but deliver nothing twice.
                 let rt = self.faults.as_mut().expect("checked");
                 rt.stats.delivered_duplicate += 1;
-                self.push_ack(&pkt, now);
+                self.push_ack(pkt, now);
                 return;
             }
             st.delivered_chunks[word] |= bit;
@@ -1566,41 +1625,21 @@ impl Network {
             });
         }
         // End-to-end ack on the dedicated ack plane: queue-free return.
-        self.push_ack(&pkt, now);
+        self.push_ack(pkt, now);
     }
 
-    /// Schedule the end-to-end ack for a delivered packet copy.
-    fn push_ack(&mut self, pkt: &Packet, now: SimTime) {
-        let congested = pkt.ep_depth >= self.cfg.ep_congestion_threshold;
+    /// Schedule the end-to-end ack for a delivered packet copy; the ack
+    /// carries the copy's handle home.
+    fn push_ack(&mut self, pkt: Packet, now: SimTime) {
         let delay = pkt.path_delay + self.cfg.ack_overhead;
-        self.queue.push(
-            now + delay,
-            Event::AckArrive {
-                src: pkt.src.0,
-                dst: pkt.dst.0,
-                wire: pkt.wire,
-                msg: pkt.msg,
-                chunk: pkt.chunk,
-                copy: pkt.copy,
-                congested,
-                depth: pkt.ep_depth,
-            },
-        );
+        let h = self.slab.park(pkt);
+        self.queue.push(now + delay, Event::AckArrive { h });
     }
 
-    #[allow(clippy::too_many_arguments)]
-    fn ack_arrive(
-        &mut self,
-        src: u32,
-        dst: u32,
-        wire: u32,
-        msg: MessageId,
-        chunk: u32,
-        copy: u32,
-        congested: bool,
-        depth: u64,
-        now: SimTime,
-    ) {
+    fn ack_arrive(&mut self, pkt: &Packet, now: SimTime) {
+        let (src, dst, wire) = (pkt.src.0, pkt.dst.0, pkt.wire);
+        let (msg, chunk, copy) = (pkt.msg, pkt.chunk, pkt.copy);
+        let congested = pkt.ep_depth >= self.cfg.ep_congestion_threshold;
         if let Some(rt) = self.faults.as_mut() {
             if rt.retry.get(&(msg.0, chunk)).map(|e| e.copy) == Some(copy) {
                 rt.retry.remove(&(msg.0, chunk));
@@ -1624,7 +1663,7 @@ impl Network {
             dst,
             AckFeedback {
                 endpoint_congested: congested,
-                ejection_queue_bytes: depth,
+                ejection_queue_bytes: pkt.ep_depth,
             },
             now,
         );
@@ -1639,9 +1678,8 @@ impl Network {
                 window_before < t.cc_max && window_after >= t.cc_max,
             );
             if t.hub.sampled(msg.0, chunk) {
-                let tc = self.messages[msg.0 as usize].tc;
                 t.hub
-                    .record_event(now.as_ps(), msg.0, chunk, copy, tc, HopKind::AckArrive);
+                    .record_event(now.as_ps(), msg.0, chunk, copy, pkt.tc, HopKind::AckArrive);
             }
         }
         let st = &mut self.messages[msg.0 as usize];
@@ -1706,5 +1744,80 @@ impl Network {
         for (mi, m) in self.messages.iter().enumerate() {
             assert_eq!(m.remaining_to_deliver, 0, "message {mi} undelivered");
         }
+        assert_eq!(
+            self.slab.live(),
+            0,
+            "packet slab: {} of {} slots never freed",
+            self.slab.live(),
+            self.slab.slots.len()
+        );
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use slingshot_topology::tiny;
+
+    /// One all-to-one-offset round: every node sends 64 KiB (16 packets)
+    /// to its neighbour three nodes on.
+    fn round(net: &mut Network) {
+        let n = net.node_count();
+        for src in 0..n {
+            net.send(NodeId(src), NodeId((src + 3) % n), 64 << 10, 0, 0);
+        }
+        net.run_to_quiescence(10_000_000).expect("round quiesces");
+    }
+
+    #[test]
+    fn slab_is_bounded_by_packets_in_flight_not_packets_sent() {
+        let mut net = Network::new(NetworkConfig::slingshot(tiny()));
+        round(&mut net);
+        let after_one = net.packet_slab_len();
+        let sent_one = net.stats().packets_delivered;
+        assert_eq!(net.packet_slab_live(), 0);
+        assert!(after_one > 0);
+        // A handle lives in exactly one pending event, so the slab never
+        // outgrows the pending-event high-water mark.
+        assert!(after_one as u64 <= net.kernel_stats().queue_hwm);
+        assert!((after_one as u64) < sent_one, "slab grew with every packet");
+
+        round(&mut net);
+        assert_eq!(net.stats().packets_delivered, 2 * sent_one);
+        assert_eq!(net.packet_slab_len(), after_one, "second round regrew");
+        net.assert_quiescent_invariants();
+    }
+
+    #[test]
+    fn slab_reuses_the_most_recently_freed_slot() {
+        let mut slab = PacketSlab::default();
+        let mut pkt = Packet {
+            msg: MessageId(0),
+            src: NodeId(0),
+            dst: NodeId(1),
+            payload: 64,
+            wire: 126,
+            tc: 0,
+            routed: false,
+            route: RouteState::new(SwitchId(0), Via::Direct),
+            cur_source: InSource::Node(NodeId(0)),
+            path_delay: SimDuration::ZERO,
+            ep_depth: 0,
+            born: SimTime::ZERO,
+            chunk: 0,
+            copy: 0,
+            llr: 0,
+            traced: false,
+        };
+        let a = slab.park(pkt);
+        pkt.chunk = 1;
+        let b = slab.park(pkt);
+        assert_eq!((a, b, slab.live()), (0, 1, 2));
+        assert_eq!(slab.take(a).chunk, 0);
+        pkt.chunk = 2;
+        assert_eq!(slab.park(pkt), a, "freed slot not reused");
+        assert_eq!(slab.take(a).chunk, 2);
+        assert_eq!(slab.take(b).chunk, 1);
+        assert_eq!((slab.live(), slab.slots.len()), (0, 2));
     }
 }

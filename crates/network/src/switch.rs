@@ -170,11 +170,11 @@ impl OutPort {
         match &mut self.sched {
             None => pick_vc(self, 0).map(|vc| (0, vc)),
             Some(_) => {
-                let backlog: Vec<bool> = (0..n_tc)
-                    .map(|tc| (0..NUM_VCS).any(|vc| self.head_eligible(tc, vc)))
-                    .collect();
+                let backlog = (0..n_tc)
+                    .filter(|&tc| (0..NUM_VCS).any(|vc| self.head_eligible(tc, vc)))
+                    .fold(0u64, |mask, tc| mask | 1 << tc);
                 let sched = self.sched.as_mut().expect("checked above");
-                let tc = sched.pick(&backlog, now)?;
+                let tc = sched.pick(backlog, now)?;
                 pick_vc(self, tc).map(|vc| (tc, vc))
             }
         }

@@ -215,3 +215,65 @@ fn fault_scenarios_are_deterministic() {
     assert_eq!(a.fault_stats(), b.fault_stats());
     assert_eq!(a.take_notifications(), b.take_notifications());
 }
+
+#[test]
+fn packet_slab_drains_under_replays_drops_and_retries() {
+    // Every fault path that ends a packet's flight (LLR replay, drop on a
+    // dead link or switch, end-to-end retransmit) must release its slab
+    // handle: after quiescence no pending event holds a packet.
+    let mut probe = Network::new(NetworkConfig::slingshot(tiny()));
+    drive_traffic(&mut probe);
+    let busiest = probe
+        .topology()
+        .channels()
+        .iter()
+        .map(|c| c.id)
+        .max_by_key(|&id| probe.channel_tx_bytes(id))
+        .expect("channels exist");
+
+    let mut cfg = NetworkConfig::slingshot(tiny());
+    let topo = cfg.topology.build();
+    let dst_switch = topo.switch_of_node(NodeId(13));
+    let mut schedule = FaultSchedule::empty();
+    for ch in topo.channels() {
+        schedule.push(
+            SimTime::ZERO,
+            FaultKind::TransientBurst {
+                channel: ch.id,
+                error_rate: 0.3,
+                duration: SimDuration::from_us(500),
+            },
+        );
+    }
+    schedule.push(
+        SimTime::from_us(2),
+        FaultKind::LinkDown { channel: busiest },
+    );
+    schedule.push(SimTime::from_us(80), FaultKind::LinkUp { channel: busiest });
+    schedule.push(
+        SimTime::from_us(3),
+        FaultKind::SwitchDown { switch: dst_switch },
+    );
+    schedule.push(
+        SimTime::from_us(120),
+        FaultKind::SwitchUp { switch: dst_switch },
+    );
+    cfg.faults = Some(FaultConfig::new(schedule));
+    let mut net = Network::new(cfg);
+    drive_traffic(&mut net);
+
+    let stats = net.fault_stats().expect("fault mode");
+    assert!(stats.llr_replays > 0, "no LLR replays");
+    assert!(stats.dropped_link_down > 0, "no link-down drops");
+    assert!(stats.dropped_switch_down > 0, "no switch-down drops");
+    assert!(stats.e2e_retransmits > 0, "no end-to-end retransmissions");
+    assert_eq!(delivered_count(&net.take_notifications()), 4);
+    net.assert_fault_conservation();
+    assert!(net.packet_slab_len() > 0, "slab never used");
+    assert_eq!(
+        net.packet_slab_live(),
+        0,
+        "slab holds packets at quiescence"
+    );
+    net.assert_quiescent_invariants();
+}

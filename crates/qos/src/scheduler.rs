@@ -77,16 +77,22 @@ impl QosScheduler {
 
     /// Pick the class to serve next among those with queued traffic.
     ///
-    /// `backlog[i]` is true when class `i` has at least one packet queued.
-    /// Returns `None` when nothing is queued.
-    pub fn pick(&mut self, backlog: &[bool], now: SimTime) -> Option<usize> {
-        assert_eq!(backlog.len(), self.state.len(), "backlog size mismatch");
+    /// Bit `i` of `backlog` is set when class `i` has at least one packet
+    /// queued (a `u64` holds every valid class set: DSCPs are distinct
+    /// modulo 64). Returns `None` when nothing is queued.
+    pub fn pick(&mut self, backlog: u64, now: SimTime) -> Option<usize> {
+        assert!(
+            backlog.checked_shr(self.state.len() as u32).unwrap_or(0) == 0,
+            "backlog names a class beyond the {} configured",
+            self.state.len()
+        );
+        let backlog = |i: usize| backlog >> i & 1 != 0;
         self.advance(now);
         // Phase 1: guaranteed bandwidth — classes holding tokens, strict
         // priority, ties to the one with most tokens.
         let mut best: Option<usize> = None;
         for (i, st) in self.state.iter().enumerate() {
-            if !backlog[i] || st.tokens < 1.0 {
+            if !backlog(i) || st.tokens < 1.0 {
                 continue;
             }
             if self.exceeds_cap(i) {
@@ -114,7 +120,7 @@ impl QosScheduler {
         // the lowest bandwidth share").
         let mut best: Option<usize> = None;
         for (i, st) in self.state.iter().enumerate() {
-            if !backlog[i] || self.exceeds_cap(i) {
+            if !backlog(i) || self.exceeds_cap(i) {
                 continue;
             }
             match best {
@@ -167,6 +173,13 @@ mod tests {
     const LINK: f64 = 25e9; // 200 Gb/s in bytes/s
     const PKT: u64 = 4158; // one MTU packet on the wire
 
+    /// Bitmask of the classes marked `true`.
+    fn mask(backlog: &[bool]) -> u64 {
+        (0..backlog.len())
+            .filter(|&i| backlog[i])
+            .fold(0, |m, i| m | 1 << i)
+    }
+
     /// Serve `n` packets with the given backlog pattern; returns bytes per
     /// class.
     fn run(sched: &mut QosScheduler, backlog: &[bool], n: usize) -> Vec<u64> {
@@ -174,7 +187,7 @@ mod tests {
         let per_pkt = SimDuration::from_secs_f64(PKT as f64 / LINK);
         let before: Vec<u64> = (0..backlog.len()).map(|i| sched.served_bytes(i)).collect();
         for _ in 0..n {
-            if let Some(tc) = sched.pick(backlog, now) {
+            if let Some(tc) = sched.pick(mask(backlog), now) {
                 sched.on_served(tc, PKT, now);
             }
             now += per_pkt;
@@ -225,7 +238,7 @@ mod tests {
         .unwrap();
         let mut s = QosScheduler::new(set, LINK);
         // Single decision with both backlogged and both holding tokens.
-        let pick = s.pick(&[true, true], SimTime::ZERO).unwrap();
+        let pick = s.pick(mask(&[true, true]), SimTime::ZERO).unwrap();
         assert_eq!(pick, 0, "high-priority class must be served first");
     }
 
@@ -243,7 +256,14 @@ mod tests {
     #[test]
     fn empty_backlog_picks_nothing() {
         let mut s = QosScheduler::new(TrafficClassSet::fig14(), LINK);
-        assert_eq!(s.pick(&[false, false], SimTime::ZERO), None);
+        assert_eq!(s.pick(mask(&[false, false]), SimTime::ZERO), None);
+    }
+
+    #[test]
+    #[should_panic(expected = "beyond the 2 configured")]
+    fn backlog_beyond_configured_classes_panics() {
+        let mut s = QosScheduler::new(TrafficClassSet::fig14(), LINK);
+        s.pick(0b100, SimTime::ZERO);
     }
 
     #[test]
@@ -252,7 +272,7 @@ mod tests {
         let mut now = SimTime::ZERO;
         let per_pkt = SimDuration::from_secs_f64(PKT as f64 / LINK);
         for _ in 0..5_000 {
-            let tc = s.pick(&[true], now).unwrap();
+            let tc = s.pick(1, now).unwrap();
             s.on_served(tc, PKT, now);
             now += per_pkt;
         }
