@@ -3,26 +3,29 @@
 //! Times the simulator's hot kernels — next-hop table lookups, adaptive
 //! routing decisions, NIC in-flight accounting, multi-class port
 //! arbitration, the event queue — two end-to-end simulations (16 and 1024
-//! nodes) for events/sec figures, and the topology build at two sizes for
-//! its cost per unit of output. A counting allocator wraps the system
-//! allocator so every record carries allocs/op next to ns/op: the routing
-//! fast path's zero-allocation claim is measured here on every run, not
-//! asserted once in review. The 1024-node rung repeats its round, and the
-//! repeat's allocations per event show whether a warmed simulation still
-//! allocates per packet.
+//! nodes) for events/sec figures, the topology build at two sizes for its
+//! cost per unit of output, and the heap cost of building a whole
+//! 136-group network. A counting allocator wraps the system allocator so
+//! every record carries allocs/op next to ns/op: the routing fast path's
+//! zero-allocation claim is measured here on every run, not asserted once
+//! in review. The 1024-node rung repeats its round, and the repeat's
+//! allocations per event show whether a warmed simulation still allocates
+//! per packet.
 //!
 //! Options: `--quick` (CI-sized iteration counts), `--out PATH` (default
 //! `BENCH_kernel.json`), `--strict` (non-zero exit if a kernel expected
 //! to be allocation-free allocates, if the 1024-node rung's events/sec
 //! falls below [`MIN_RUNG_RATIO`] of the 16-node rung's, if its warmed
 //! round allocates more than [`MAX_WARM_ALLOCS_PER_EVENT`] times per
-//! event, or if the large topology build costs more than
-//! [`MAX_BUILD_RATIO`] times Shandy's per unit of output).
+//! event, if the large topology build costs more than
+//! [`MAX_BUILD_RATIO`] times Shandy's per unit of output, or if the
+//! network build allocates more than [`MAX_BUILD_ALLOCS_PER_PORT`] times
+//! per output port).
 
 use serde::Serialize;
 use slingshot::des::{DetRng, EventQueue, SimDuration, SimTime};
-use slingshot::network::{InFlightMap, InSource, MessageId, OutPort, Packet, PortKind, NUM_VCS};
-use slingshot::qos::{QosScheduler, TrafficClassSet};
+use slingshot::network::{InFlightMap, InSource, MessageId, Packet, PacketSlab, PortKind, Ports};
+use slingshot::qos::TrafficClassSet;
 use slingshot::routing::{AdaptiveParams, QuietView, RouteState, Router, RoutingAlgorithm, Via};
 use slingshot::telemetry::{HopKind, TelemetryConfig, TelemetryHub};
 use slingshot::topology::{
@@ -35,14 +38,17 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
 
 /// System allocator wrapper that counts allocation calls (alloc and
-/// realloc; frees are not interesting for the per-op budget).
+/// realloc; frees are not interesting for the per-op budget) and the
+/// bytes they request (a realloc counts its growth).
 struct CountingAlloc;
 
 static ALLOCS: AtomicU64 = AtomicU64::new(0);
+static ALLOC_BYTES: AtomicU64 = AtomicU64::new(0);
 
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         ALLOCS.fetch_add(1, Ordering::Relaxed);
+        ALLOC_BYTES.fetch_add(layout.size() as u64, Ordering::Relaxed);
         SystemAlloc.alloc(layout)
     }
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
@@ -50,6 +56,8 @@ unsafe impl GlobalAlloc for CountingAlloc {
     }
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
         ALLOCS.fetch_add(1, Ordering::Relaxed);
+        let growth = new_size.saturating_sub(layout.size());
+        ALLOC_BYTES.fetch_add(growth as u64, Ordering::Relaxed);
         SystemAlloc.realloc(ptr, layout, new_size)
     }
 }
@@ -81,12 +89,17 @@ const MAX_BUILD_RATIO: f64 = 4.0;
 
 /// Largest allowed allocations per event over the 1024-node rung's warmed
 /// round. Its traffic repeats the first round's, so the event heap, the
-/// packet slab and the NIC maps already have the capacity they need. What
-/// is left is amortized growth: the message log doubling, and a VOQ
-/// reaching a depth it never reached before (adaptive routing draws
-/// differ between rounds) — 166 allocations in 229 k events (7.3e-4).
-/// One allocation per message would be 4.5e-3, one per packet 7e-2.
+/// packet slab and the NIC maps already have the capacity they need, and
+/// VOQs are slab-linked lists that never allocate. What is left is
+/// amortized growth such as the message log doubling. One allocation per
+/// message would be 4.5e-3, one per packet 7e-2.
 const MAX_WARM_ALLOCS_PER_EVENT: f64 = 2e-3;
+
+/// Largest allowed heap allocations per output port while building the
+/// 136-group network. Port state lives in a few network-wide arrays, so
+/// the build allocates a fixed number of tables, not one or more per port
+/// (which would read ≥ 1) or per switch (≥ 0.02 at 51 ports a switch).
+const MAX_BUILD_ALLOCS_PER_PORT: f64 = 0.01;
 
 /// One topology-build rung: the median of `builds` timed constructions.
 #[derive(Serialize)]
@@ -115,9 +128,24 @@ struct EndToEnd {
     last_round_events: u64,
     /// Allocations per event over the last round.
     last_round_allocs_per_event: f64,
-    /// Packet-slab slots at the end: the peak number of packets carried
-    /// by pending events.
+    /// Packet-slab slots at the end: the peak number of packets in
+    /// flight between injection and ack.
     packet_slab_len: usize,
+}
+
+/// The heap cost of building one whole network (topology included).
+#[derive(Serialize)]
+struct NetworkBuild {
+    name: &'static str,
+    ports: u64,
+    nics: u64,
+    allocs: u64,
+    bytes: u64,
+    allocs_per_port: f64,
+    bytes_per_port: f64,
+    allocs_per_nic: f64,
+    bytes_per_nic: f64,
+    wall_ns: u64,
 }
 
 #[derive(Serialize)]
@@ -127,6 +155,7 @@ struct Report {
     benches: Vec<BenchRecord>,
     end_to_end: Vec<EndToEnd>,
     topology_build: Vec<BuildRung>,
+    network_build: NetworkBuild,
 }
 
 /// Time `iters` calls of `f` after a 1/10 warmup, reading the allocation
@@ -213,25 +242,16 @@ fn end_to_end(name: &'static str, system: System, offsets: &[u32]) -> EndToEnd {
     rec
 }
 
-/// A channel port serving the Fig. 14 class pair, holding eight MTU
-/// packets in each class.
-fn two_class_port() -> OutPort {
+/// A one-port table whose channel port serves the Fig. 14 class pair,
+/// holding eight MTU packets in each class.
+fn two_class_port() -> (Ports, PacketSlab) {
     let classes = TrafficClassSet::fig14();
     let n_tc = classes.len();
-    let mut port = OutPort {
-        kind: PortKind::Channel(ChannelId(0)),
-        queues: vec![Default::default(); n_tc * NUM_VCS],
-        queued_wire: 0,
-        busy: false,
-        outstanding: vec![0; n_tc * NUM_VCS],
-        pool: 1 << 30,
-        rate_bps: 25e9,
-        prop: SimDuration::from_ns(13),
-        sched: Some(QosScheduler::new(classes, 25e9)),
-        tx_wire_bytes: 0,
-    };
+    let mut ports = Ports::new(&classes, 1 << 30, 25e9, 25e9, 1);
+    let port = ports.push(PortKind::Channel(ChannelId(0)), SimDuration::from_ns(13));
+    let mut slab = PacketSlab::default();
     for i in 0..8 * n_tc as u32 {
-        port.enqueue(Packet {
+        let h = slab.insert(Packet {
             msg: MessageId(i as u64),
             src: NodeId(0),
             dst: NodeId(1),
@@ -249,8 +269,58 @@ fn two_class_port() -> OutPort {
             llr: 0,
             traced: false,
         });
+        ports.enqueue(port, h, &mut slab);
     }
-    port
+    (ports, slab)
+}
+
+/// Build the 136-group cut of the paper's largest system through
+/// [`SystemBuilder::build`] and count the heap allocations and bytes it
+/// takes, per output port and per NIC.
+fn network_build_136g() -> NetworkBuild {
+    let params = DragonflyParams {
+        groups: 136,
+        ..largest_slingshot()
+    };
+    let builder = SystemBuilder::new(System::Custom(params), Profile::Slingshot);
+    let (allocs_before, bytes_before) = (
+        ALLOCS.load(Ordering::Relaxed),
+        ALLOC_BYTES.load(Ordering::Relaxed),
+    );
+    let start = Instant::now();
+    let net = builder.build();
+    let wall_ns = start.elapsed().as_nanos() as u64;
+    let allocs = ALLOCS.load(Ordering::Relaxed) - allocs_before;
+    let bytes = ALLOC_BYTES.load(Ordering::Relaxed) - bytes_before;
+    let topo = net.topology();
+    let nics = topo.node_count() as u64;
+    // One output port per directed channel and per attached node.
+    let ports = topo.channels().len() as u64 + nics;
+    let rec = NetworkBuild {
+        name: "network_build_136g",
+        ports,
+        nics,
+        allocs,
+        bytes,
+        allocs_per_port: allocs as f64 / ports as f64,
+        bytes_per_port: bytes as f64 / ports as f64,
+        allocs_per_nic: allocs as f64 / nics as f64,
+        bytes_per_nic: bytes as f64 / nics as f64,
+        wall_ns,
+    };
+    eprintln!(
+        "{:<32} {:>10.4} allocs/port ({} allocs, {:.1} MB; {:.0} B/port, {:.0} B/NIC over \
+         {} ports, {} NICs)",
+        rec.name,
+        rec.allocs_per_port,
+        rec.allocs,
+        rec.bytes as f64 / (1 << 20) as f64,
+        rec.bytes_per_port,
+        rec.bytes_per_nic,
+        rec.ports,
+        rec.nics
+    );
+    rec
 }
 
 /// Build `params` `builds` times and record the median build time, and
@@ -390,19 +460,20 @@ fn main() {
     // Multi-class arbitration (Fig. 13/14 ports): pick a class and VC,
     // serve the head, return its credit and requeue it, one MTU time per
     // pick so the scheduler's token buckets see a saturated link.
-    let mut port = two_class_port();
+    let (mut ports, mut slab) = two_class_port();
     let mut at = SimTime::ZERO;
-    let mtu_time = port.serialization(4158);
+    let mtu_time = ports.serialization(0, 4158);
     benches.push(bench(
         "switch_pick_two_class",
         200_000 * scale,
         true,
         || {
-            let (tc, vc) = port.pick(at).expect("both classes backlogged");
-            let pkt = port.take(tc, vc, at);
-            port.credit_return(tc, vc, pkt.wire)
+            let (tc, vc) = ports.pick(0, at, &slab).expect("both classes backlogged");
+            let h = ports.take(0, tc, vc, at, &slab);
+            ports
+                .credit_return(0, tc, vc, slab[h].wire)
                 .expect("credit was outstanding");
-            port.enqueue(black_box(pkt));
+            ports.enqueue(0, black_box(h), &mut slab);
             at += mtu_time;
         },
     ));
@@ -543,10 +614,16 @@ fn main() {
         "build_ratio_large_vs_shandy"
     );
 
+    let network_build = network_build_136g();
+
     // Scale rungs: a 16-node neighbour exchange and two identical
     // 1024-node Shandy shift rounds, whose pending-event population peaks
-    // in the thousands; the second round runs on warmed buffers.
-    let tiny_rounds: Vec<u32> = (1..=if quick { 4 } else { 32 }).collect();
+    // in the thousands; the second round runs on warmed buffers. Tiny
+    // offsets skip multiples of its 16 nodes, which would send nothing.
+    let tiny_rounds: Vec<u32> = (1..)
+        .filter(|o| o % 16 != 0)
+        .take(if quick { 4 } else { 32 })
+        .collect();
     let tiny = end_to_end("end_to_end_tiny", System::Tiny, &tiny_rounds);
     let shandy = end_to_end("end_to_end_shandy_1024", System::Shandy, &[257, 257]);
     let rung_ratio = shandy.events_per_sec / tiny.events_per_sec;
@@ -556,12 +633,15 @@ fn main() {
     );
     let warm_allocs = shandy.last_round_allocs_per_event;
 
+    let build_allocs = network_build.allocs_per_port;
+
     let report = Report {
-        schema: 4,
+        schema: 5,
         mode: if quick { "quick" } else { "full" }.to_string(),
         benches,
         end_to_end: vec![tiny, shandy],
         topology_build: vec![small_build, large_build],
+        network_build,
     };
 
     let json = serde_json::to_string_pretty(&report).expect("serialize report");
@@ -600,7 +680,15 @@ fn main() {
              of output (maximum {MAX_BUILD_RATIO}): the build is super-linear"
         );
     }
-    if strict && (!leaky.is_empty() || cliff || warm_allocating || superlinear) {
+    let build_allocating = build_allocs > MAX_BUILD_ALLOCS_PER_PORT;
+    if build_allocating {
+        eprintln!(
+            "warning: building the 136-group network allocates {build_allocs:.4} times per \
+             output port (maximum {MAX_BUILD_ALLOCS_PER_PORT}): per-port state allocates"
+        );
+    }
+    if strict && (!leaky.is_empty() || cliff || warm_allocating || superlinear || build_allocating)
+    {
         std::process::exit(1);
     }
 }

@@ -12,7 +12,7 @@ use serde::Serialize;
 use slingshot_des::{DetRng, SimTime};
 use slingshot_ethernet::PortLanes;
 use slingshot_faults::{FaultConfig, FaultSchedule, RecoveryConfig};
-use slingshot_topology::{Dragonfly, Liveness};
+use slingshot_topology::{ChannelId, Dragonfly, Liveness};
 use std::collections::HashMap;
 
 /// Why a packet copy was destroyed in the fabric.
@@ -164,6 +164,19 @@ impl FaultRuntime {
     pub fn alloc_copy(&mut self) -> u32 {
         self.next_copy += 1;
         self.next_copy
+    }
+
+    /// Share of its healthy rate that channel `ch` serializes at: the
+    /// surviving lanes' bandwidth over a full port's (exactly 1.0 while
+    /// healthy). A link with no lane left is down and serializes nothing,
+    /// so it reads 1.0 rather than 0.
+    pub fn lane_rate_scale(&self, ch: ChannelId) -> f64 {
+        let lanes = self.lanes[ch.index()];
+        if lanes.is_up() {
+            lanes.effective_gbps() / PortLanes::rosetta().effective_gbps()
+        } else {
+            1.0
+        }
     }
 
     /// Per-traversal transient error probability on channel `ch` at `now`:

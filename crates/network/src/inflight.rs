@@ -17,7 +17,8 @@
 /// by the node count, so `u32::MAX` can never collide with a real key.
 const EMPTY: u32 = u32::MAX;
 
-/// Minimum table capacity (power of two).
+/// Table capacity at the first insert (power of two). An empty map owns
+/// no allocation, so a NIC that never sends costs nothing here.
 const MIN_CAP: usize = 8;
 
 /// Flat open-addressing map from destination node id to in-flight wire
@@ -39,13 +40,13 @@ impl Default for InFlightMap {
 }
 
 impl InFlightMap {
-    /// An empty map.
-    pub fn new() -> Self {
+    /// An empty map; allocates nothing until the first insert.
+    pub const fn new() -> Self {
         InFlightMap {
-            keys: vec![EMPTY; MIN_CAP],
-            vals: vec![0; MIN_CAP],
+            keys: Vec::new(),
+            vals: Vec::new(),
             len: 0,
-            shift: 64 - MIN_CAP.trailing_zeros(),
+            shift: 64,
         }
     }
 
@@ -73,6 +74,9 @@ impl InFlightMap {
     #[inline]
     fn find(&self, key: u32) -> Option<usize> {
         debug_assert_ne!(key, EMPTY, "reserved key");
+        if self.len == 0 {
+            return None;
+        }
         let mask = self.capacity() - 1;
         let mut i = self.ideal_slot(key);
         loop {
@@ -181,7 +185,7 @@ impl InFlightMap {
 
     #[cold]
     fn grow(&mut self) {
-        let new_cap = self.capacity() * 2;
+        let new_cap = (self.capacity() * 2).max(MIN_CAP);
         let old_keys = std::mem::replace(&mut self.keys, vec![EMPTY; new_cap]);
         let old_vals = std::mem::replace(&mut self.vals, vec![0; new_cap]);
         self.shift = 64 - new_cap.trailing_zeros();
@@ -203,6 +207,20 @@ mod tests {
         let m = InFlightMap::new();
         assert_eq!(m.get(7), 0);
         assert!(m.is_empty());
+        assert_eq!(m.iter().count(), 0);
+    }
+
+    #[test]
+    fn allocates_on_first_insert_only() {
+        let mut m = InFlightMap::new();
+        assert_eq!(m.capacity(), 0, "an empty map allocated");
+        m.add(3, 0);
+        assert_eq!(m.capacity(), 0, "a zero add allocated");
+        m.add(3, 10);
+        assert_eq!(m.capacity(), MIN_CAP);
+        m.sub(3, 10);
+        assert!(m.is_empty());
+        assert_eq!(m.get(3), 0);
     }
 
     #[test]

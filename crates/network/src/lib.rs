@@ -34,6 +34,7 @@ mod kernel;
 mod network;
 mod nic;
 mod packet;
+mod slab;
 mod switch;
 
 pub use config::{CcConfig, NetworkConfig};
@@ -46,4 +47,5 @@ pub use kernel::{global_kernel_stats, KernelStats};
 pub use network::{NetStats, Network};
 pub use nic::{CcEngine, Nic};
 pub use packet::{InSource, MessageId, Notification, Packet};
-pub use switch::{OutPort, PortKind, Switch, NUM_VCS};
+pub use slab::{HandleFifo, PacketSlab};
+pub use switch::{PortKind, PortState, Ports, NUM_VCS};

@@ -9,19 +9,20 @@ use crate::inflight::InFlightMap;
 use crate::kernel::{flush_to_global, KernelStats};
 use crate::nic::{CcEngine, Nic};
 use crate::packet::{InSource, MessageId, MessageState, Notification, Packet};
-use crate::switch::{vc_of, OutPort, PortKind, Switch, NUM_VCS};
+use crate::slab::{HandleFifo, PacketSlab};
+use crate::switch::{vc_of, PortKind, PortState, Ports, NUM_VCS};
 use slingshot_congestion::{AckFeedback, CongestionControl};
 use slingshot_des::{DetRng, EventQueue, SimDuration, SimTime};
 use slingshot_ethernet::{message_wire_bytes, PortLanes, MAX_PAYLOAD};
 use slingshot_faults::FaultKind;
-use slingshot_qos::QosScheduler;
 use slingshot_routing::{CongestionView, HopDecision, RouteState, Router, Via};
 use slingshot_telemetry::{HopKind, TelemetryHub, TelemetryReport};
 use slingshot_topology::{ChannelId, Dragonfly, Liveness, NodeId, SwitchId};
 use std::collections::VecDeque;
 
-/// Simulator events. A packet rides in the [`PacketSlab`]; events name
-/// it by its `u32` handle `h`.
+/// Simulator events. A packet lives in the [`PacketSlab`]; events name
+/// it by its `u32` handle `h`, and switch-side events name an output port
+/// by its global id.
 enum Event {
     /// The injection link finished serializing a packet.
     NicTxDone { node: u32, h: u32 },
@@ -64,48 +65,6 @@ enum Event {
 // Heap sifts move whole events; an 88 B `Packet` by value would make one 104 B.
 const _: () = assert!(std::mem::size_of::<Event>() <= 24);
 
-/// Packets in flight between two events, addressed by `u32` handles.
-///
-/// A LIFO free list hands the slot freed by the event being dispatched to
-/// the packet that event schedules next, so the slab grows to the peak
-/// number of packet-carrying pending events and is reused from then on.
-/// Packets waiting in a VOQ or a NIC's retransmit queue are held there by
-/// value, not here.
-#[derive(Default)]
-struct PacketSlab {
-    slots: Vec<Packet>,
-    free: Vec<u32>,
-}
-
-impl PacketSlab {
-    /// Store `pkt` and return its handle.
-    #[inline]
-    fn park(&mut self, pkt: Packet) -> u32 {
-        match self.free.pop() {
-            Some(h) => {
-                self.slots[h as usize] = pkt;
-                h
-            }
-            None => {
-                self.slots.push(pkt);
-                (self.slots.len() - 1) as u32
-            }
-        }
-    }
-
-    /// Copy the packet out of slot `h` and free the slot.
-    #[inline]
-    fn take(&mut self, h: u32) -> Packet {
-        self.free.push(h);
-        self.slots[h as usize]
-    }
-
-    /// Slots holding a packet.
-    fn live(&self) -> usize {
-        self.slots.len() - self.free.len()
-    }
-}
-
 /// Hop budget for route healing: a packet whose route has already grown
 /// this long is dropped instead of re-detoured (recovered end-to-end), so
 /// an unreachable destination cannot make copies wander forever.
@@ -113,7 +72,8 @@ const MAX_HEAL_HOPS: u8 = 16;
 
 /// Where a returning credit is consumed.
 enum CreditTarget {
-    /// A switch output port (sender side of a channel).
+    /// A switch output port (sender side of a channel), by switch and
+    /// global port id.
     Port { sw: u32, port: u32 },
     /// A NIC (sender side of an injection link).
     Nic(u32),
@@ -134,9 +94,6 @@ enum TxVerdict {
 /// Live telemetry state; boxed so the disabled path carries one pointer.
 struct NetTelemetry {
     hub: TelemetryHub,
-    /// Switch index → global index of its first output port (ports are
-    /// numbered switch-major, in port order, across the whole fabric).
-    port_base: Vec<u32>,
     /// The CC engine's recovery ceiling: a pair whose window sits below
     /// this is counted as paused.
     cc_max: u64,
@@ -145,14 +102,13 @@ struct NetTelemetry {
 /// Congestion view over the live port state (what the adaptive routing
 /// pipeline reads from the request-queue credit plane).
 struct LoadView<'a> {
-    switches: &'a [Switch],
-    chan_port: &'a [(u32, u32)],
+    ports: &'a Ports,
+    chan_port: &'a [u32],
 }
 
 impl CongestionView for LoadView<'_> {
     fn channel_load(&self, ch: ChannelId) -> u64 {
-        let (sw, port) = self.chan_port[ch.index()];
-        self.switches[sw as usize].ports[port as usize].load_estimate()
+        self.ports.load_estimate(self.chan_port[ch.index()])
     }
 }
 
@@ -178,16 +134,24 @@ pub struct Network {
     cfg: NetworkConfig,
     topo: Dragonfly,
     queue: EventQueue<Event>,
-    /// Packets referenced by pending events.
+    /// Every packet from injection (or retransmit) to its ack or drop.
     slab: PacketSlab,
     rng: DetRng,
-    switches: Vec<Switch>,
+    /// Every output port of the fabric, by global port id.
+    ports: Ports,
+    /// Switch index → global id of its first output port; one extra
+    /// entry holds the port count. Ports are numbered switch-major,
+    /// channels first, then ejection ports.
+    port_base: Vec<u32>,
     nics: Vec<Nic>,
+    /// Per-(node, class) credits for the attached switch's ingress
+    /// buffer, indexed `node · n_tc + tc`.
+    nic_credits: Vec<u64>,
     messages: Vec<MessageState>,
-    /// ChannelId → (switch index, port index) of the sending port.
-    chan_port: Vec<(u32, u32)>,
-    /// NodeId → (switch index, port index) of the ejection port.
-    eject_port: Vec<(u32, u32)>,
+    /// ChannelId → global id of the sending port.
+    chan_port: Vec<u32>,
+    /// NodeId → global id of the ejection port.
+    eject_port: Vec<u32>,
     notifications: Vec<Notification>,
     delivered_payload: Vec<u64>,
     packet_latency: Option<slingshot_stats::Sample>,
@@ -224,58 +188,39 @@ impl Network {
         let n_nodes = topo.node_count() as usize;
         let n_switches = topo.switch_count() as usize;
 
-        let mut chan_port = vec![(u32::MAX, u32::MAX); topo.channels().len()];
-        let mut eject_port = vec![(u32::MAX, u32::MAX); n_nodes];
-        let mut switches = Vec::with_capacity(n_switches);
         let buffer_per_class = cfg.buffer_per_class();
-        let link_bps = cfg.link_bytes_per_sec();
         let inj_bps = cfg.injection_bytes_per_sec();
+        let edge_prop =
+            SimDuration::from_ns_f64(slingshot_topology::LinkClass::EdgeCopper.propagation_ns());
+        let channels = topo.channels();
+        let mut ports = Ports::new(
+            &cfg.traffic_classes,
+            buffer_per_class,
+            cfg.link_bytes_per_sec(),
+            inj_bps,
+            channels.len() + n_nodes,
+        );
+        let mut chan_port = vec![u32::MAX; channels.len()];
+        let mut eject_port = vec![u32::MAX; n_nodes];
+        let mut port_base = Vec::with_capacity(n_switches + 1);
 
-        // Outgoing channels per switch, bucketed in one pass. Each bucket
-        // keeps channel-list order, which fixes the port numbering.
-        let mut out_channels = vec![Vec::new(); n_switches];
-        for ch in topo.channels() {
-            out_channels[ch.from.index()].push(ch);
-        }
-        for (sw, out) in (0..n_switches as u32).zip(out_channels) {
-            let mut ports = Vec::new();
-            for ch in out {
-                chan_port[ch.id.index()] = (sw, ports.len() as u32);
-                ports.push(OutPort {
-                    kind: PortKind::Channel(ch.id),
-                    queues: vec![VecDeque::new(); n_tc * NUM_VCS],
-                    queued_wire: 0,
-                    busy: false,
-                    outstanding: vec![0; n_tc * NUM_VCS],
-                    pool: buffer_per_class,
-                    rate_bps: link_bps,
-                    prop: SimDuration::from_ns_f64(ch.class.propagation_ns()),
-                    sched: (n_tc > 1)
-                        .then(|| QosScheduler::new(cfg.traffic_classes.clone(), link_bps)),
-                    tx_wire_bytes: 0,
-                });
+        // Channels grouped by sending switch; the stable sort keeps
+        // channel-list order within a switch, which fixes the port
+        // numbering.
+        let mut by_switch: Vec<u32> = (0..channels.len() as u32).collect();
+        by_switch.sort_by_key(|&i| channels[i as usize].from.0);
+        let mut out = by_switch.iter().map(|&i| &channels[i as usize]).peekable();
+        for sw in 0..n_switches as u32 {
+            port_base.push(ports.len() as u32);
+            while let Some(ch) = out.next_if(|ch| ch.from.0 == sw) {
+                let prop = SimDuration::from_ns_f64(ch.class.propagation_ns());
+                chan_port[ch.id.index()] = ports.push(PortKind::Channel(ch.id), prop);
             }
-            for node in topo.nodes_of_switch(slingshot_topology::SwitchId(sw)) {
-                eject_port[node.index()] = (sw, ports.len() as u32);
-                ports.push(OutPort {
-                    kind: PortKind::Eject(node),
-                    queues: vec![VecDeque::new(); n_tc * NUM_VCS],
-                    queued_wire: 0,
-                    busy: false,
-                    outstanding: vec![0; n_tc * NUM_VCS],
-                    pool: 0, // ejection: the node always drains
-
-                    rate_bps: inj_bps,
-                    prop: SimDuration::from_ns_f64(
-                        slingshot_topology::LinkClass::EdgeCopper.propagation_ns(),
-                    ),
-                    sched: (n_tc > 1)
-                        .then(|| QosScheduler::new(cfg.traffic_classes.clone(), inj_bps)),
-                    tx_wire_bytes: 0,
-                });
+            for node in topo.nodes_of_switch(SwitchId(sw)) {
+                eject_port[node.index()] = ports.push(PortKind::Eject(node), edge_prop);
             }
-            switches.push(Switch { ports });
         }
+        port_base.push(ports.len() as u32);
 
         let rng = DetRng::seed_from(cfg.seed);
         let nics = (0..n_nodes as u32)
@@ -283,14 +228,11 @@ impl Network {
                 node: NodeId(n),
                 active: VecDeque::new(),
                 busy: false,
-                credits: vec![buffer_per_class; n_tc],
                 in_flight: InFlightMap::new(),
                 cc: CcEngine::from_config(&cfg.cc),
                 rate_bps: inj_bps,
-                prop: SimDuration::from_ns_f64(
-                    slingshot_topology::LinkClass::EdgeCopper.propagation_ns(),
-                ),
-                retx: VecDeque::new(),
+                prop: edge_prop,
+                retx: HandleFifo::EMPTY,
             })
             .collect();
 
@@ -310,15 +252,8 @@ impl Network {
         }
 
         let telemetry = cfg.telemetry.map(|tcfg| {
-            let mut port_base = Vec::with_capacity(switches.len());
-            let mut total = 0u32;
-            for sw in &switches {
-                port_base.push(total);
-                total += sw.ports.len() as u32;
-            }
             Box::new(NetTelemetry {
-                hub: TelemetryHub::new(tcfg, total as usize, n_tc, NUM_VCS),
-                port_base,
+                hub: TelemetryHub::new(tcfg, ports.len(), n_tc, NUM_VCS),
                 cc_max: CcEngine::from_config(&cfg.cc).max_window(),
             })
         });
@@ -329,8 +264,10 @@ impl Network {
             queue,
             slab: PacketSlab::default(),
             rng,
-            switches,
+            ports,
+            port_base,
             nics,
+            nic_credits: vec![buffer_per_class; n_nodes * n_tc],
             messages: Vec::new(),
             chan_port,
             eject_port,
@@ -437,8 +374,7 @@ impl Network {
 
     /// Wire bytes transmitted on a channel so far (utilization analysis).
     pub fn channel_tx_bytes(&self, ch: ChannelId) -> u64 {
-        let (sw, port) = self.chan_port[ch.index()];
-        self.switches[sw as usize].ports[port as usize].tx_wire_bytes
+        self.ports.port(self.chan_port[ch.index()]).tx_wire_bytes
     }
 
     /// Mean utilization of a channel over `[0, now]`, in `[0, 1]`.
@@ -447,9 +383,24 @@ impl Network {
         if now_s <= 0.0 {
             return 0.0;
         }
-        let (sw, port) = self.chan_port[ch.index()];
-        let p = &self.switches[sw as usize].ports[port as usize];
-        (p.tx_wire_bytes as f64 / p.rate_bps) / now_s
+        let g = self.chan_port[ch.index()];
+        (self.ports.port(g).tx_wire_bytes as f64 / self.port_rate(g)) / now_s
+    }
+
+    /// Current serialization rate of port `g`: the kind's healthy rate,
+    /// scaled down on a channel that has lost lanes.
+    fn port_rate(&self, g: u32) -> f64 {
+        let rate = self.ports.rate(g);
+        match (self.ports.port(g).kind, &self.faults) {
+            (PortKind::Channel(ch), Some(rt)) => rate * rt.lane_rate_scale(ch),
+            _ => rate,
+        }
+    }
+
+    /// Switch owning global port `g`, and `g`'s index within it.
+    fn locate_port(&self, g: u32) -> (u32, u32) {
+        let sw = self.port_base.partition_point(|&b| b <= g) - 1;
+        (sw as u32, g - self.port_base[sw])
     }
 
     /// Enable per-packet one-way latency sampling (delivered packets only).
@@ -470,15 +421,15 @@ impl Network {
     /// collected afterwards.
     pub fn take_telemetry_report(&mut self) -> Option<TelemetryReport> {
         let t = self.telemetry.take()?;
-        let mut labels = Vec::new();
-        for (si, sw) in self.switches.iter().enumerate() {
-            for (pi, p) in sw.ports.iter().enumerate() {
-                labels.push(match p.kind {
+        let labels: Vec<String> = (0..self.ports.len() as u32)
+            .map(|g| {
+                let (si, pi) = self.locate_port(g);
+                match self.ports.port(g).kind {
                     PortKind::Channel(ch) => format!("sw{si}/p{pi} ch:{}", ch.0),
                     PortKind::Eject(n) => format!("sw{si}/p{pi} eject:{}", n.0),
-                });
-            }
-        }
+                }
+            })
+            .collect();
         Some(t.hub.into_report(&labels))
     }
 
@@ -548,14 +499,14 @@ impl Network {
         out.append(&mut self.notifications);
     }
 
-    /// Slots in the packet slab: the high-water mark of packets carried by
-    /// pending events (the slab never shrinks).
+    /// Slots in the packet slab: the high-water mark of packets in flight
+    /// between injection and ack (the slab never shrinks).
     pub fn packet_slab_len(&self) -> usize {
-        self.slab.slots.len()
+        self.slab.len()
     }
 
-    /// Packets currently held in the slab by pending events; 0 once the
-    /// network quiesces.
+    /// Packets currently in flight (queued, on a wire or awaiting their
+    /// ack); 0 once the network quiesces.
     pub fn packet_slab_live(&self) -> usize {
         self.slab.live()
     }
@@ -624,30 +575,28 @@ impl Network {
     /// state. Only called on the error path; work and allocation are
     /// bounded by system size, never by event count.
     pub fn stall_report(&self, event_budget: u64, events_consumed: u64) -> StallReport {
-        let mut loads: Vec<(u64, u32, u32)> = Vec::new();
-        for (si, sw) in self.switches.iter().enumerate() {
-            for (pi, p) in sw.ports.iter().enumerate() {
-                let load = p.load_estimate();
-                if load > 0 {
-                    loads.push((load, si as u32, pi as u32));
-                }
-            }
-        }
-        loads.sort_unstable_by(|a, b| b.0.cmp(&a.0).then(a.1.cmp(&b.1)).then(a.2.cmp(&b.2)));
+        // Global port order is (switch, port) order, so ties break as
+        // they always did.
+        let mut loads: Vec<(u64, u32)> = (0..self.ports.len() as u32)
+            .map(|g| (self.ports.load_estimate(g), g))
+            .filter(|&(load, _)| load > 0)
+            .collect();
+        loads.sort_unstable_by(|a, b| b.0.cmp(&a.0).then(a.1.cmp(&b.1)));
         loads.truncate(STALL_REPORT_TOP_N);
         let hot_ports = loads
             .iter()
-            .map(|&(_, si, pi)| {
-                let p = &self.switches[si as usize].ports[pi as usize];
+            .map(|&(_, g)| {
+                let p = self.ports.port(g);
+                let (switch, port) = self.locate_port(g);
                 PortHotspot {
-                    switch: si,
-                    port: pi,
+                    switch,
+                    port,
                     drives: match p.kind {
                         PortKind::Channel(ch) => format!("ch:{}", ch.0),
                         PortKind::Eject(n) => format!("eject:{}", n.0),
                     },
                     queued_wire: p.queued_wire,
-                    outstanding: p.outstanding.iter().sum(),
+                    outstanding: p.downstream,
                     busy: p.busy,
                 }
             })
@@ -671,19 +620,15 @@ impl Network {
                     in_flight_bytes: bytes,
                     destinations: nic.in_flight.len(),
                     active_messages: nic.active.len(),
-                    retx_queued: nic.retx.len(),
+                    retx_queued: nic.retx.len(&self.slab),
                 }
             })
             .collect();
 
         let mut per_class_vc = vec![0u64; self.n_tc * NUM_VCS];
-        for sw in &self.switches {
-            for p in &sw.ports {
-                if matches!(p.kind, PortKind::Channel(_)) {
-                    for (q, &o) in p.outstanding.iter().enumerate() {
-                        per_class_vc[q] += o;
-                    }
-                }
+        for g in 0..self.ports.len() as u32 {
+            for (q, &o) in self.ports.outstanding(g).iter().enumerate() {
+                per_class_vc[q] += o;
             }
         }
         let credits = per_class_vc
@@ -730,23 +675,19 @@ impl Network {
         match ev {
             Event::NicTxDone { node, h } => {
                 self.kernel.events_nic_tx += 1;
-                let pkt = self.slab.take(h);
-                self.nic_tx_done(node, pkt, now)
+                self.nic_tx_done(node, h, now)
             }
             Event::ArriveSwitch { sw, h } => {
                 self.kernel.events_arrive_switch += 1;
-                let pkt = self.slab.take(h);
-                self.arrive_switch(sw, pkt, now)
+                self.arrive_switch(sw, h, now)
             }
             Event::EnqueueOut { sw, port, h } => {
                 self.kernel.events_enqueue_out += 1;
-                let pkt = self.slab.take(h);
-                self.enqueue_out(sw, port, pkt, now)
+                self.enqueue_out(sw, port, h, now)
             }
             Event::TxDone { sw, port, h } => {
                 self.kernel.events_tx_done += 1;
-                let pkt = self.slab.take(h);
-                self.tx_done(sw, port, pkt, now)
+                self.tx_done(sw, port, h, now)
             }
             Event::CreditReturn {
                 target,
@@ -759,12 +700,11 @@ impl Network {
             }
             Event::ArriveNic { h } => {
                 self.kernel.events_arrive_nic += 1;
-                let pkt = self.slab.take(h);
-                self.arrive_nic(pkt, now)
+                self.arrive_nic(h, now)
             }
             Event::AckArrive { h } => {
                 self.kernel.events_ack += 1;
-                let pkt = self.slab.take(h);
+                let pkt = self.slab.remove(h);
                 self.ack_arrive(&pkt, now)
             }
             Event::Loopback { msg } => {
@@ -791,6 +731,18 @@ impl Network {
         }
     }
 
+    /// Record a flight-recorder event for packet `h` if it is sampled.
+    #[inline]
+    fn trace_hop(&mut self, h: u32, kind: HopKind, now: SimTime) {
+        let pkt = &self.slab[h];
+        if pkt.traced {
+            if let Some(t) = self.telemetry.as_deref_mut() {
+                t.hub
+                    .record_event(now.as_ps(), pkt.msg.0, pkt.chunk, pkt.copy, pkt.tc, kind);
+            }
+        }
+    }
+
     /// Try to launch the next eligible packet from `node`'s NIC.
     fn try_inject(&mut self, node: u32, now: SimTime) {
         if self.faults.is_some() {
@@ -801,6 +753,7 @@ impl Network {
         if nic.busy || nic.active.is_empty() {
             return;
         }
+        let credits = &mut self.nic_credits[node as usize * self.n_tc..][..self.n_tc];
         for _ in 0..nic.active.len() {
             let msg_id = *nic.active.front().expect("checked non-empty");
             let st = &self.messages[msg_id.0 as usize];
@@ -812,10 +765,10 @@ impl Network {
             let tc = st.tc;
             let in_flight = nic.in_flight_to(dst);
             let cc_ok = nic.cc.may_send(dst.0, in_flight, wire as u64, now);
-            let credit_ok = nic.credits[tc as usize] >= wire as u64;
+            let credit_ok = credits[tc as usize] >= wire as u64;
             if cc_ok && credit_ok {
                 nic.busy = true;
-                nic.credits[tc as usize] -= wire as u64;
+                credits[tc as usize] -= wire as u64;
                 nic.add_in_flight(dst, wire);
                 let ser = nic.serialization(wire);
                 let st = &mut self.messages[msg_id.0 as usize];
@@ -873,7 +826,7 @@ impl Network {
                         );
                     }
                 }
-                let h = self.slab.park(pkt);
+                let h = self.slab.insert(pkt);
                 self.queue.push(now + ser, Event::NicTxDone { node, h });
                 return;
             }
@@ -889,16 +842,19 @@ impl Network {
         if nic.busy {
             return;
         }
-        let Some(&pkt) = nic.retx.front() else { return };
-        if nic.credits[pkt.tc as usize] < pkt.wire as u64 {
+        let Some(h) = nic.retx.front() else { return };
+        let (tc, wire) = (self.slab[h].tc, self.slab[h].wire);
+        let credit = &mut self.nic_credits[node as usize * self.n_tc + tc as usize];
+        if *credit < wire as u64 {
             return;
         }
-        let mut pkt = nic.retx.pop_front().expect("checked non-empty");
+        nic.retx.pop_front(&self.slab);
+        *credit -= wire as u64;
+        let pkt = &mut self.slab[h];
         pkt.born = now;
         nic.busy = true;
-        nic.credits[pkt.tc as usize] -= pkt.wire as u64;
-        nic.add_in_flight(pkt.dst, pkt.wire);
-        let ser = nic.serialization(pkt.wire);
+        nic.add_in_flight(pkt.dst, wire);
+        let ser = nic.serialization(wire);
         let rt = self.faults.as_mut().expect("retransmit outside fault mode");
         rt.stats.copies_injected += 1;
         let entry = rt.retry.get(&(pkt.msg.0, pkt.chunk));
@@ -913,68 +869,33 @@ impl Network {
                 copy: pkt.copy,
             },
         );
-        if pkt.traced {
-            if let Some(t) = self.telemetry.as_deref_mut() {
-                t.hub.record_event(
-                    now.as_ps(),
-                    pkt.msg.0,
-                    pkt.chunk,
-                    pkt.copy,
-                    pkt.tc,
-                    HopKind::NicSerializeStart,
-                );
-            }
-        }
-        let h = self.slab.park(pkt);
+        self.trace_hop(h, HopKind::NicSerializeStart, now);
         self.queue.push(now + ser, Event::NicTxDone { node, h });
     }
 
-    fn nic_tx_done(&mut self, node: u32, mut pkt: Packet, now: SimTime) {
+    fn nic_tx_done(&mut self, node: u32, h: u32, now: SimTime) {
         let nic = &mut self.nics[node as usize];
         nic.busy = false;
         let prop = nic.prop;
-        pkt.path_delay += prop;
-        if pkt.traced {
-            if let Some(t) = self.telemetry.as_deref_mut() {
-                t.hub.record_event(
-                    now.as_ps(),
-                    pkt.msg.0,
-                    pkt.chunk,
-                    pkt.copy,
-                    pkt.tc,
-                    HopKind::NicTxDone,
-                );
-            }
-        }
+        self.slab[h].path_delay += prop;
+        self.trace_hop(h, HopKind::NicTxDone, now);
         let sw = self.topo.switch_of_node(NodeId(node)).0;
-        let h = self.slab.park(pkt);
         self.queue.push(now + prop, Event::ArriveSwitch { sw, h });
         self.try_inject(node, now);
     }
 
-    fn arrive_switch(&mut self, sw: u32, mut pkt: Packet, now: SimTime) {
+    fn arrive_switch(&mut self, sw: u32, h: u32, now: SimTime) {
         if let Some(rt) = &self.faults {
             // A dead switch destroys everything arriving at it; the copy is
             // recovered end-to-end.
             if !rt.liveness.is_switch_up(SwitchId(sw)) {
-                self.record_drop(&pkt, DropReason::SwitchDown, now);
+                self.record_drop(h, DropReason::SwitchDown, now);
                 return;
             }
         }
-        if pkt.traced {
-            if let Some(t) = self.telemetry.as_deref_mut() {
-                t.hub.record_event(
-                    now.as_ps(),
-                    pkt.msg.0,
-                    pkt.chunk,
-                    pkt.copy,
-                    pkt.tc,
-                    HopKind::SwitchArrive { sw },
-                );
-            }
-        }
+        self.trace_hop(h, HopKind::SwitchArrive { sw }, now);
         // Routing decisions read the live load view; split borrows keep the
-        // router's view disjoint from the RNG and packet.
+        // router's view disjoint from the RNG and the packet's slab slot.
         let router = match &self.faults {
             Some(rt) => Router::with_liveness(
                 &self.topo,
@@ -985,10 +906,11 @@ impl Network {
             None => Router::new(&self.topo, self.cfg.routing, self.cfg.adaptive),
         };
         let view = LoadView {
-            switches: &self.switches,
+            ports: &self.ports,
             chan_port: &self.chan_port,
         };
         let cur = SwitchId(sw);
+        let pkt = &mut self.slab[h];
         if !pkt.routed {
             let dst_sw = self.topo.switch_of_node(pkt.dst);
             pkt.route = router.decide(cur, dst_sw, &view, &mut self.rng);
@@ -1015,7 +937,7 @@ impl Network {
             // would detour forever (each detour's first leg is alive, only
             // the final approach is dead).
             if pkt.route.hops >= MAX_HEAL_HOPS {
-                self.record_drop(&pkt, DropReason::NoRoute, now);
+                self.record_drop(h, DropReason::NoRoute, now);
                 return;
             }
             self.kernel.route_heals += 1;
@@ -1026,34 +948,28 @@ impl Network {
             pkt.route = healed;
             choice = router.next_hop(cur, &mut pkt.route, &view, &mut self.rng);
         }
-        let (port_sw, port_idx) = match choice {
+        let port = match choice {
             HopDecision::Forward(ch) => self.chan_port[ch.index()],
             HopDecision::Eject => self.eject_port[pkt.dst.index()],
             HopDecision::Stuck => {
                 // Even the healed route starts dead: drop here, recover
                 // end-to-end.
-                self.record_drop(&pkt, DropReason::NoRoute, now);
+                self.record_drop(h, DropReason::NoRoute, now);
                 return;
             }
         };
-        debug_assert_eq!(port_sw, sw, "next hop not on this switch");
+        debug_assert_eq!(self.locate_port(port).0, sw, "next hop not on this switch");
         // Fabric traversal latency (tile geometry + arbitration jitter).
         let in_p = self.rng.below(64) as u8;
         let out_p = self.rng.below(64) as u8;
         let lat = self.cfg.switch_latency.sample(&mut self.rng, in_p, out_p);
-        pkt.path_delay += lat;
-        let h = self.slab.park(pkt);
-        self.queue.push(
-            now + lat,
-            Event::EnqueueOut {
-                sw,
-                port: port_idx,
-                h,
-            },
-        );
+        self.slab[h].path_delay += lat;
+        self.queue
+            .push(now + lat, Event::EnqueueOut { sw, port, h });
     }
 
-    fn enqueue_out(&mut self, sw: u32, port: u32, mut pkt: Packet, now: SimTime) {
+    fn enqueue_out(&mut self, sw: u32, port: u32, h: u32, now: SimTime) {
+        let kind = self.ports.port(port).kind;
         if let Some(rt) = &self.faults {
             // The output port may have died while the packet crossed the
             // fabric; dead ports must not accumulate backlog (their queues
@@ -1061,7 +977,7 @@ impl Network {
             let reason = if !rt.liveness.is_switch_up(SwitchId(sw)) {
                 Some(DropReason::SwitchDown)
             } else {
-                match self.switches[sw as usize].ports[port as usize].kind {
+                match kind {
                     PortKind::Channel(ch) if !rt.liveness.is_channel_up(ch) => {
                         Some(DropReason::LinkDown)
                     }
@@ -1069,145 +985,117 @@ impl Network {
                 }
             };
             if let Some(reason) = reason {
-                self.record_drop(&pkt, reason, now);
+                self.record_drop(h, reason, now);
                 return;
             }
         }
-        let p = &mut self.switches[sw as usize].ports[port as usize];
-        if matches!(p.kind, PortKind::Eject(_)) {
+        if matches!(kind, PortKind::Eject(_)) {
             // The endpoint-congestion signal: ejection-queue depth at
             // enqueue time, carried home in the ack.
-            pkt.ep_depth = p.queued_wire;
+            self.slab[h].ep_depth = self.ports.port(port).queued_wire;
         }
-        p.enqueue(pkt);
-        let depth = p.queued_wire;
+        self.ports.enqueue(port, h, &mut self.slab);
         if let Some(t) = self.telemetry.as_deref_mut() {
-            let gport = t.port_base[sw as usize] + port;
-            t.hub.on_port_queue(gport, now.as_ps(), depth);
-            if pkt.traced {
-                let vc = vc_of(pkt.route.hops) as u8;
-                t.hub.record_event(
-                    now.as_ps(),
-                    pkt.msg.0,
-                    pkt.chunk,
-                    pkt.copy,
-                    pkt.tc,
-                    HopKind::VoqEnqueue { sw, port, vc },
-                );
-            }
+            t.hub
+                .on_port_queue(port, now.as_ps(), self.ports.port(port).queued_wire);
+            let vc = vc_of(self.slab[h].route.hops) as u8;
+            let local = port - self.port_base[sw as usize];
+            self.trace_hop(
+                h,
+                HopKind::VoqEnqueue {
+                    sw,
+                    port: local,
+                    vc,
+                },
+                now,
+            );
         }
         self.try_start_tx(sw, port, now);
     }
 
     fn try_start_tx(&mut self, sw: u32, port: u32, now: SimTime) {
-        let p = &mut self.switches[sw as usize].ports[port as usize];
-        if p.busy || !p.has_backlog() {
+        let p = self.ports.port(port);
+        if p.busy || p.queued_wire == 0 {
             return;
         }
-        let Some((tc, vc)) = p.pick(now) else {
+        let Some((tc, vc)) = self.ports.pick(port, now, &self.slab) else {
             // Waiting for credits: count which (class, VC) heads are
             // starved before giving the port up.
             if self.telemetry.is_some() {
-                self.telemetry_credit_stall(sw, port, now);
+                self.telemetry_credit_stall(port, now);
             }
             return;
         };
-        let pkt = p.take(tc, vc, now);
-        p.busy = true;
-        let ser = p.serialization(pkt.wire);
-        let depth = p.queued_wire;
+        let h = self.ports.take(port, tc, vc, now, &self.slab);
+        self.ports.port_mut(port).busy = true;
+        let wire = self.slab[h].wire;
+        let ser = SimDuration::from_secs_f64(wire as f64 / self.port_rate(port));
         if let Some(t) = self.telemetry.as_deref_mut() {
-            let gport = t.port_base[sw as usize] + port;
-            t.hub
-                .on_port_tx(gport, pkt.tc, now.as_ps(), pkt.wire as u64);
-            t.hub.on_port_queue(gport, now.as_ps(), depth);
-            if pkt.traced {
-                t.hub.record_event(
-                    now.as_ps(),
-                    pkt.msg.0,
-                    pkt.chunk,
-                    pkt.copy,
-                    pkt.tc,
-                    HopKind::TxStart { sw, port },
-                );
-            }
+            let depth = self.ports.port(port).queued_wire;
+            t.hub.on_port_tx(port, tc as u8, now.as_ps(), wire as u64);
+            t.hub.on_port_queue(port, now.as_ps(), depth);
+            let local = port - self.port_base[sw as usize];
+            self.trace_hop(h, HopKind::TxStart { sw, port: local }, now);
         }
-        let h = self.slab.park(pkt);
         self.queue.push(now + ser, Event::TxDone { sw, port, h });
     }
 
     /// A port with backlog found no transmittable VOQ: record a stall
     /// observation for every head blocked on downstream credits. Only
     /// reached with telemetry enabled.
-    fn telemetry_credit_stall(&mut self, sw: u32, port: u32, now: SimTime) {
+    fn telemetry_credit_stall(&mut self, port: u32, now: SimTime) {
         let Some(t) = self.telemetry.as_deref_mut() else {
             return;
         };
-        let p = &self.switches[sw as usize].ports[port as usize];
         for tc in 0..self.n_tc {
             for vc in 0..NUM_VCS {
-                if p.head_blocked(tc, vc) {
+                if self.ports.head_blocked(port, tc, vc, &self.slab) {
                     t.hub.on_credit_stall(tc as u8, vc as u8, now.as_ps());
                 }
             }
         }
     }
 
-    fn tx_done(&mut self, sw: u32, port: u32, mut pkt: Packet, now: SimTime) {
-        let (kind, prop) = {
-            let p = &self.switches[sw as usize].ports[port as usize];
-            (p.kind, p.prop)
-        };
+    fn tx_done(&mut self, sw: u32, port: u32, h: u32, now: SimTime) {
+        let PortState { kind, prop, .. } = *self.ports.port(port);
         if self.faults.is_some() {
-            match self.fault_tx_check(sw, port, kind, &mut pkt, now) {
+            match self.fault_tx_check(sw, port, kind, h, now) {
                 TxVerdict::Proceed => {}
                 TxVerdict::Replayed | TxVerdict::Dropped => return,
             }
         }
-        self.switches[sw as usize].ports[port as usize].busy = false;
-        if pkt.traced {
-            if let Some(t) = self.telemetry.as_deref_mut() {
-                t.hub.record_event(
-                    now.as_ps(),
-                    pkt.msg.0,
-                    pkt.chunk,
-                    pkt.copy,
-                    pkt.tc,
-                    HopKind::TxDone { sw, port },
-                );
-            }
-        }
+        self.ports.port_mut(port).busy = false;
+        let local = port - self.port_base[sw as usize];
+        self.trace_hop(h, HopKind::TxDone { sw, port: local }, now);
         // Return the input-buffer credit for the source this packet arrived
         // from (it has now left this switch).
-        // The upstream sender consumed its credit at the packet's VC as of
-        // the previous crossing: one less hop than the packet carries now.
-        self.return_upstream_credit(&pkt, now);
+        self.return_upstream_credit(h, now);
+        let pkt = &mut self.slab[h];
+        pkt.path_delay += prop;
         match kind {
             PortKind::Channel(ch) => {
                 let to = self.topo.channel(ch).to.0;
                 pkt.cur_source = InSource::Channel(ch);
                 pkt.route.hops += 1;
-                pkt.path_delay += prop;
-                let h = self.slab.park(pkt);
                 self.queue
                     .push(now + prop, Event::ArriveSwitch { sw: to, h });
             }
-            PortKind::Eject(_) => {
-                pkt.path_delay += prop;
-                let h = self.slab.park(pkt);
-                self.queue.push(now + prop, Event::ArriveNic { h });
-            }
+            PortKind::Eject(_) => self.queue.push(now + prop, Event::ArriveNic { h }),
         }
         self.try_start_tx(sw, port, now);
     }
 
-    /// Return the input-buffer credit `pkt` holds at its current switch to
-    /// the upstream sender (the port or NIC it entered from).
-    fn return_upstream_credit(&mut self, pkt: &Packet, now: SimTime) {
+    /// Return the input-buffer credit packet `h` holds at its current
+    /// switch to the upstream sender (the port or NIC it entered from).
+    fn return_upstream_credit(&mut self, h: u32, now: SimTime) {
+        let pkt = &self.slab[h];
         let (target, vc, up_prop) = match pkt.cur_source {
             InSource::Channel(in_ch) => {
-                let (up_sw, up_port) = self.chan_port[in_ch.index()];
-                let up_prop = self.switches[up_sw as usize].ports[up_port as usize].prop;
+                let up_port = self.chan_port[in_ch.index()];
+                let up_sw = self.topo.channel(in_ch).from.0;
+                // The upstream sender consumed its credit at the packet's
+                // VC as of the previous crossing: one less hop than the
+                // packet carries now.
                 let up_vc = vc_of(pkt.route.hops.saturating_sub(1)) as u8;
                 (
                     CreditTarget::Port {
@@ -1215,7 +1103,7 @@ impl Network {
                         port: up_port,
                     },
                     up_vc,
-                    up_prop,
+                    self.ports.port(up_port).prop,
                 )
             }
             InSource::Node(n) => (CreditTarget::Nic(n.0), 0, self.nics[n.index()].prop),
@@ -1231,7 +1119,7 @@ impl Network {
         );
     }
 
-    /// Fault-mode checks when a port finishes serializing `pkt`: dead
+    /// Fault-mode checks when a port finishes serializing packet `h`: dead
     /// link/switch destroys it; otherwise a transient error may trigger an
     /// LLR replay (port stays busy) or — replay budget exhausted — destroy
     /// the packet and take the link down for retraining.
@@ -1240,12 +1128,12 @@ impl Network {
         sw: u32,
         port: u32,
         kind: PortKind,
-        pkt: &mut Packet,
+        h: u32,
         now: SimTime,
     ) -> TxVerdict {
         let rt = self.faults.as_mut().expect("fault mode");
         if !rt.liveness.is_switch_up(SwitchId(sw)) {
-            self.drop_at_port(sw, port, pkt, DropReason::SwitchDown, now);
+            self.drop_at_port(sw, port, h, DropReason::SwitchDown, now);
             return TxVerdict::Dropped;
         }
         let PortKind::Channel(ch) = kind else {
@@ -1253,34 +1141,25 @@ impl Network {
         };
         if !rt.liveness.is_channel_up(ch) {
             // The link was cut mid-serialization.
-            self.drop_at_port(sw, port, pkt, DropReason::LinkDown, now);
+            self.drop_at_port(sw, port, h, DropReason::LinkDown, now);
             return TxVerdict::Dropped;
         }
         let rate = rt.error_rate(ch.index(), now);
         if rate <= 0.0 || !rt.rng.chance(rate) {
             return TxVerdict::Proceed;
         }
-        if pkt.llr < rt.recovery.llr_max_retries {
+        if self.slab[h].llr < rt.recovery.llr_max_retries {
             // §II-F low-latency link-level retransmission: replay the
             // packet on the same link after the replay latency.
-            pkt.llr += 1;
+            self.slab[h].llr += 1;
             rt.stats.llr_replays += 1;
             self.kernel.llr_replays += 1;
             let replay = SimDuration::from_ns_f64(rt.recovery.reliability.llr_replay_ns);
             if let Some(t) = self.telemetry.as_deref_mut() {
                 t.hub.on_llr_replay(now.as_ps());
-                if pkt.traced {
-                    t.hub.record_event(
-                        now.as_ps(),
-                        pkt.msg.0,
-                        pkt.chunk,
-                        pkt.copy,
-                        pkt.tc,
-                        HopKind::LlrReplay { sw, port },
-                    );
-                }
+                let local = port - self.port_base[sw as usize];
+                self.trace_hop(h, HopKind::LlrReplay { sw, port: local }, now);
             }
-            let h = self.slab.park(*pkt);
             self.queue.push(now + replay, Event::TxDone { sw, port, h });
             TxVerdict::Replayed
         } else {
@@ -1289,25 +1168,31 @@ impl Network {
             // recover.
             rt.stats.llr_escalations += 1;
             self.kernel.llr_escalations += 1;
-            self.drop_at_port(sw, port, pkt, DropReason::LlrExhausted, now);
+            self.drop_at_port(sw, port, h, DropReason::LlrExhausted, now);
             self.take_link_down(ch, now, true);
             TxVerdict::Dropped
         }
     }
 
-    /// Destroy a packet already taken from `(sw, port)`'s queue: release
-    /// the port, roll back its downstream-buffer reservation and transmit
+    /// Destroy packet `h`, already taken from `port`'s queue: release the
+    /// port, roll back its downstream-buffer reservation and transmit
     /// accounting, and record the loss.
-    fn drop_at_port(&mut self, sw: u32, port: u32, pkt: &Packet, reason: DropReason, now: SimTime) {
-        let p = &mut self.switches[sw as usize].ports[port as usize];
+    fn drop_at_port(&mut self, sw: u32, port: u32, h: u32, reason: DropReason, now: SimTime) {
+        let (tc, vc, wire) = {
+            let pkt = &self.slab[h];
+            (pkt.tc, vc_of(pkt.route.hops), pkt.wire)
+        };
+        let p = self.ports.port_mut(port);
         p.busy = false;
-        let rollback = p.credit_return(pkt.tc as usize, vc_of(pkt.route.hops), pkt.wire);
-        p.tx_wire_bytes -= pkt.wire as u64;
-        if let Err(outstanding) = rollback {
-            let vc = vc_of(pkt.route.hops) as u8;
-            self.record_credit_underflow(sw, port, pkt.tc, vc, pkt.wire, outstanding);
+        p.tx_wire_bytes -= wire as u64;
+        // Only a channel port reserved downstream space at `take`.
+        if matches!(p.kind, PortKind::Channel(_)) {
+            if let Err(outstanding) = self.ports.credit_return(port, tc as usize, vc, wire) {
+                let local = port - self.port_base[sw as usize];
+                self.record_credit_underflow(sw, local, tc, vc as u8, wire, outstanding);
+            }
         }
-        self.record_drop(pkt, reason, now);
+        self.record_drop(h, reason, now);
     }
 
     /// Latch the first credit-underflow accounting error; later ones are
@@ -1333,25 +1218,20 @@ impl Network {
         }
     }
 
-    /// Record a destroyed copy: count it by reason and return the upstream
-    /// input-buffer credit it held. The sender's in-flight window is
-    /// reclaimed later by the copy's end-to-end timer.
-    fn record_drop(&mut self, pkt: &Packet, reason: DropReason, now: SimTime) {
+    /// Record a destroyed copy: count it by reason, return the upstream
+    /// input-buffer credit it held and free its slab slot. The sender's
+    /// in-flight window is reclaimed later by the copy's end-to-end timer.
+    fn record_drop(&mut self, h: u32, reason: DropReason, now: SimTime) {
         self.kernel.packets_dropped += 1;
         if let Some(t) = self.telemetry.as_deref_mut() {
             t.hub.on_drop(now.as_ps());
-            if pkt.traced {
-                t.hub.record_event(
-                    now.as_ps(),
-                    pkt.msg.0,
-                    pkt.chunk,
-                    pkt.copy,
-                    pkt.tc,
-                    HopKind::Dropped {
-                        reason: reason as u8,
-                    },
-                );
-            }
+            self.trace_hop(
+                h,
+                HopKind::Dropped {
+                    reason: reason as u8,
+                },
+                now,
+            );
         }
         let rt = self.faults.as_mut().expect("drop outside fault mode");
         match reason {
@@ -1360,24 +1240,16 @@ impl Network {
             DropReason::NoRoute => rt.stats.dropped_no_route += 1,
             DropReason::LlrExhausted => rt.stats.dropped_llr_exhausted += 1,
         }
-        self.return_upstream_credit(pkt, now);
+        self.return_upstream_credit(h, now);
+        self.slab.remove(h);
     }
 
-    /// Drop every queued packet of `(sw, port)`: the port's buffers drain
-    /// into the void when its link or switch dies. A packet mid-
-    /// serialization is left to its `TxDone`, which re-checks liveness.
-    fn flush_port(&mut self, sw: u32, port: u32, reason: DropReason, now: SimTime) {
-        let p = &mut self.switches[sw as usize].ports[port as usize];
-        if !p.has_backlog() {
-            return;
-        }
-        let mut drained: Vec<Packet> = Vec::new();
-        for q in p.queues.iter_mut() {
-            drained.extend(q.drain(..));
-        }
-        p.queued_wire = 0;
-        for pkt in drained {
-            self.record_drop(&pkt, reason, now);
+    /// Drop every queued packet of `port`: the port's buffers drain into
+    /// the void when its link or switch dies. A packet mid-serialization
+    /// is left to its `TxDone`, which re-checks liveness.
+    fn flush_port(&mut self, port: u32, reason: DropReason, now: SimTime) {
+        while let Some(h) = self.ports.flush_next(port, &self.slab) {
+            self.record_drop(h, reason, now);
         }
     }
 
@@ -1405,14 +1277,9 @@ impl Network {
                 rt.stats.lane_degrade_events += 1;
                 let lanes = rt.lanes[channel.index()].degrade(failed_lanes);
                 rt.lanes[channel.index()] = lanes;
-                if lanes.is_up() {
-                    // The port keeps running at the surviving lanes' rate.
-                    let (sw, port) = self.chan_port[channel.index()];
-                    let healthy = PortLanes::rosetta().effective_gbps();
-                    self.switches[sw as usize].ports[port as usize].rate_bps =
-                        self.cfg.link_bytes_per_sec() * (lanes.effective_gbps() / healthy);
-                } else {
-                    // Losing the last lane takes the link down.
+                // The port keeps running at the surviving lanes' rate (see
+                // `port_rate`); losing the last lane takes the link down.
+                if !lanes.is_up() {
                     self.take_link_down(channel, now, false);
                 }
             }
@@ -1441,8 +1308,7 @@ impl Network {
         } else {
             None
         };
-        let (sw, port) = self.chan_port[ch.index()];
-        self.flush_port(sw, port, DropReason::LinkDown, now);
+        self.flush_port(self.chan_port[ch.index()], DropReason::LinkDown, now);
         if let Some(after) = repair {
             self.queue.push(now + after, Event::LinkRepair { ch });
         }
@@ -1450,15 +1316,13 @@ impl Network {
 
     /// Bring `ch` back up with all lanes restored at full rate.
     fn bring_link_up(&mut self, ch: ChannelId, now: SimTime) {
-        let (sw, port) = self.chan_port[ch.index()];
-        let link_bps = self.cfg.link_bytes_per_sec();
         let rt = self.faults.as_mut().expect("fault mode");
         rt.lanes[ch.index()] = PortLanes::rosetta();
         if rt.liveness.set_channel(ch, true) {
             rt.stats.link_up_events += 1;
         }
-        self.switches[sw as usize].ports[port as usize].rate_bps = link_bps;
-        self.try_start_tx(sw, port, now);
+        let sw = self.topo.channel(ch).from.0;
+        self.try_start_tx(sw, self.chan_port[ch.index()], now);
     }
 
     /// A link taken down by LLR escalation finished retraining.
@@ -1476,9 +1340,8 @@ impl Network {
             return; // already down
         }
         rt.stats.switch_down_events += 1;
-        let n_ports = self.switches[swid.index()].ports.len();
-        for port in 0..n_ports {
-            self.flush_port(swid.0, port as u32, DropReason::SwitchDown, now);
+        for port in self.port_base[swid.index()]..self.port_base[swid.index() + 1] {
+            self.flush_port(port, DropReason::SwitchDown, now);
         }
     }
 
@@ -1548,24 +1411,28 @@ impl Network {
                 );
             }
         }
-        self.nics[src.index()].retx.push_back(pkt);
+        let h = self.slab.insert(pkt);
+        self.nics[src.index()].retx.push_back(h, &mut self.slab);
         self.try_inject(src.0, now);
     }
 
     fn credit_return(&mut self, target: CreditTarget, tc: u8, vc: u8, bytes: u32, now: SimTime) {
         match target {
             CreditTarget::Port { sw, port } => {
-                let p = &mut self.switches[sw as usize].ports[port as usize];
-                if let Err(outstanding) = p.credit_return(tc as usize, vc as usize, bytes) {
-                    self.record_credit_underflow(sw, port, tc, vc, bytes, outstanding);
+                if let Err(outstanding) =
+                    self.ports
+                        .credit_return(port, tc as usize, vc as usize, bytes)
+                {
+                    let local = port - self.port_base[sw as usize];
+                    self.record_credit_underflow(sw, local, tc, vc, bytes, outstanding);
                 }
                 self.try_start_tx(sw, port, now);
             }
             CreditTarget::Nic(node) => {
-                let nic = &mut self.nics[node as usize];
-                nic.credits[tc as usize] += bytes as u64;
+                let credit = &mut self.nic_credits[node as usize * self.n_tc + tc as usize];
+                *credit += bytes as u64;
                 debug_assert!(
-                    nic.credits[tc as usize] <= self.cfg.buffer_per_class(),
+                    *credit <= self.cfg.buffer_per_class(),
                     "NIC credit overflow"
                 );
                 self.try_inject(node, now);
@@ -1573,19 +1440,9 @@ impl Network {
         }
     }
 
-    fn arrive_nic(&mut self, pkt: Packet, now: SimTime) {
-        if pkt.traced {
-            if let Some(t) = self.telemetry.as_deref_mut() {
-                t.hub.record_event(
-                    now.as_ps(),
-                    pkt.msg.0,
-                    pkt.chunk,
-                    pkt.copy,
-                    pkt.tc,
-                    HopKind::NicArrive,
-                );
-            }
-        }
+    fn arrive_nic(&mut self, h: u32, now: SimTime) {
+        self.trace_hop(h, HopKind::NicArrive, now);
+        let pkt = &self.slab[h];
         if self.faults.is_some() {
             let st = &mut self.messages[pkt.msg.0 as usize];
             let word = (pkt.chunk / 64) as usize;
@@ -1596,7 +1453,7 @@ impl Network {
                 // stops retrying, but deliver nothing twice.
                 let rt = self.faults.as_mut().expect("checked");
                 rt.stats.delivered_duplicate += 1;
-                self.push_ack(pkt, now);
+                self.push_ack(h, now);
                 return;
             }
             st.delivered_chunks[word] |= bit;
@@ -1625,14 +1482,13 @@ impl Network {
             });
         }
         // End-to-end ack on the dedicated ack plane: queue-free return.
-        self.push_ack(pkt, now);
+        self.push_ack(h, now);
     }
 
-    /// Schedule the end-to-end ack for a delivered packet copy; the ack
-    /// carries the copy's handle home.
-    fn push_ack(&mut self, pkt: Packet, now: SimTime) {
-        let delay = pkt.path_delay + self.cfg.ack_overhead;
-        let h = self.slab.park(pkt);
+    /// Schedule the end-to-end ack for delivered packet copy `h`; the ack
+    /// carries the copy's handle home, where its slot is freed.
+    fn push_ack(&mut self, h: u32, now: SimTime) {
+        let delay = self.slab[h].path_delay + self.cfg.ack_overhead;
         self.queue.push(now + delay, Event::AckArrive { h });
     }
 
@@ -1715,31 +1571,40 @@ impl Network {
     /// Test/diagnostic helper: verify every buffer is empty and every
     /// credit restored (call after quiescence).
     pub fn assert_quiescent_invariants(&self) {
-        for (si, sw) in self.switches.iter().enumerate() {
-            for (pi, p) in sw.ports.iter().enumerate() {
-                assert!(!p.busy, "switch {si} port {pi} still busy");
-                assert_eq!(p.queued_wire, 0, "switch {si} port {pi} has backlog");
-                if matches!(p.kind, PortKind::Channel(_)) {
-                    for (q, &o) in p.outstanding.iter().enumerate() {
-                        assert_eq!(
-                            o, 0,
-                            "switch {si} port {pi} queue {q}: outstanding bytes not credited"
-                        );
-                    }
-                }
+        for g in 0..self.ports.len() as u32 {
+            let (si, pi) = self.locate_port(g);
+            let p = self.ports.port(g);
+            assert!(!p.busy, "switch {si} port {pi} still busy");
+            assert_eq!(p.queued_wire, 0, "switch {si} port {pi} has backlog");
+            assert!(
+                self.ports.voqs_empty(g),
+                "switch {si} port {pi}: a VOQ still holds a handle"
+            );
+            assert_eq!(
+                p.downstream, 0,
+                "switch {si} port {pi}: downstream bytes not credited"
+            );
+            for (q, &o) in self.ports.outstanding(g).iter().enumerate() {
+                assert_eq!(
+                    o, 0,
+                    "switch {si} port {pi} queue {q}: outstanding bytes not credited"
+                );
             }
         }
         for (ni, nic) in self.nics.iter().enumerate() {
             assert!(!nic.busy, "nic {ni} still busy");
             assert!(nic.in_flight.is_empty(), "nic {ni} has in-flight bytes");
             assert!(nic.active.is_empty(), "nic {ni} has active messages");
-            for (tc, &c) in nic.credits.iter().enumerate() {
-                assert_eq!(
-                    c,
-                    self.cfg.buffer_per_class(),
-                    "nic {ni} tc {tc}: credits not restored"
-                );
-            }
+            assert!(nic.retx.is_empty(), "nic {ni} has staged retransmits");
+        }
+        for (i, &c) in self.nic_credits.iter().enumerate() {
+            assert_eq!(
+                c,
+                self.cfg.buffer_per_class(),
+                "nic {} tc {}: credits not restored",
+                i / self.n_tc,
+                i % self.n_tc
+            );
         }
         for (mi, m) in self.messages.iter().enumerate() {
             assert_eq!(m.remaining_to_deliver, 0, "message {mi} undelivered");
@@ -1749,7 +1614,7 @@ impl Network {
             0,
             "packet slab: {} of {} slots never freed",
             self.slab.live(),
-            self.slab.slots.len()
+            self.slab.len()
         );
     }
 }
@@ -1759,12 +1624,12 @@ mod tests {
     use super::*;
     use slingshot_topology::tiny;
 
-    /// One all-to-one-offset round: every node sends 64 KiB (16 packets)
+    /// One all-to-one-offset round: every node sends 1 MiB (256 packets)
     /// to its neighbour three nodes on.
     fn round(net: &mut Network) {
         let n = net.node_count();
         for src in 0..n {
-            net.send(NodeId(src), NodeId((src + 3) % n), 64 << 10, 0, 0);
+            net.send(NodeId(src), NodeId((src + 3) % n), 1 << 20, 0, 0);
         }
         net.run_to_quiescence(10_000_000).expect("round quiesces");
     }
@@ -1777,47 +1642,22 @@ mod tests {
         let sent_one = net.stats().packets_delivered;
         assert_eq!(net.packet_slab_live(), 0);
         assert!(after_one > 0);
-        // A handle lives in exactly one pending event, so the slab never
-        // outgrows the pending-event high-water mark.
-        assert!(after_one as u64 <= net.kernel_stats().queue_hwm);
-        assert!((after_one as u64) < sent_one, "slab grew with every packet");
+        // A packet holds its slot from injection to ack, so the slab never
+        // outgrows what the congestion windows let every node have in
+        // flight toward its one destination.
+        let cfg = net.config();
+        let wire = cfg.frame.wire_bytes(MAX_PAYLOAD, cfg.stack) as u64;
+        let window = CcEngine::from_config(&cfg.cc).max_window();
+        let in_flight_cap = net.node_count() as u64 * (window / wire + 1);
+        assert!(
+            after_one as u64 <= in_flight_cap,
+            "slab {after_one} > {in_flight_cap} packets in flight"
+        );
+        assert!(4 * in_flight_cap < sent_one, "round too small to tell");
 
         round(&mut net);
         assert_eq!(net.stats().packets_delivered, 2 * sent_one);
         assert_eq!(net.packet_slab_len(), after_one, "second round regrew");
         net.assert_quiescent_invariants();
-    }
-
-    #[test]
-    fn slab_reuses_the_most_recently_freed_slot() {
-        let mut slab = PacketSlab::default();
-        let mut pkt = Packet {
-            msg: MessageId(0),
-            src: NodeId(0),
-            dst: NodeId(1),
-            payload: 64,
-            wire: 126,
-            tc: 0,
-            routed: false,
-            route: RouteState::new(SwitchId(0), Via::Direct),
-            cur_source: InSource::Node(NodeId(0)),
-            path_delay: SimDuration::ZERO,
-            ep_depth: 0,
-            born: SimTime::ZERO,
-            chunk: 0,
-            copy: 0,
-            llr: 0,
-            traced: false,
-        };
-        let a = slab.park(pkt);
-        pkt.chunk = 1;
-        let b = slab.park(pkt);
-        assert_eq!((a, b, slab.live()), (0, 1, 2));
-        assert_eq!(slab.take(a).chunk, 0);
-        pkt.chunk = 2;
-        assert_eq!(slab.park(pkt), a, "freed slot not reused");
-        assert_eq!(slab.take(a).chunk, 2);
-        assert_eq!(slab.take(b).chunk, 1);
-        assert_eq!((slab.live(), slab.slots.len()), (0, 2));
     }
 }

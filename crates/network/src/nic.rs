@@ -4,6 +4,7 @@
 use crate::config::CcConfig;
 use crate::inflight::InFlightMap;
 use crate::packet::MessageId;
+use crate::slab::HandleFifo;
 use slingshot_congestion::{AckFeedback, CongestionControl, EcnCc, NoCc, SlingshotCc};
 use slingshot_des::{SimDuration, SimTime};
 use slingshot_topology::NodeId;
@@ -80,8 +81,6 @@ pub struct Nic {
     pub active: VecDeque<MessageId>,
     /// Whether the injection link is serializing a packet.
     pub busy: bool,
-    /// Per-class credits for the attached switch's ingress buffer.
-    pub credits: Vec<u64>,
     /// Unacknowledged wire bytes per destination node (open-addressing,
     /// Fx-hashed — see [`InFlightMap`]).
     pub in_flight: InFlightMap,
@@ -91,10 +90,10 @@ pub struct Nic {
     pub rate_bps: f64,
     /// Node-to-switch propagation delay.
     pub prop: SimDuration,
-    /// End-to-end retransmit staging queue: packets rebuilt after an e2e
-    /// timeout, launched ahead of new injections as credits permit.
-    /// Always empty outside fault mode.
-    pub retx: VecDeque<crate::packet::Packet>,
+    /// End-to-end retransmit staging queue: slab handles of packets
+    /// rebuilt after an e2e timeout, launched ahead of new injections as
+    /// credits permit. Always empty outside fault mode.
+    pub retx: HandleFifo,
 }
 
 impl Nic {
@@ -133,12 +132,11 @@ mod tests {
             node: NodeId(0),
             active: VecDeque::new(),
             busy: false,
-            credits: vec![256 << 10],
             in_flight: InFlightMap::new(),
             cc: CcEngine::from_config(&cc),
             rate_bps: 12.5e9,
             prop: SimDuration::from_ns(10),
-            retx: VecDeque::new(),
+            retx: HandleFifo::EMPTY,
         }
     }
 

@@ -277,3 +277,71 @@ fn packet_slab_drains_under_replays_drops_and_retries() {
     );
     net.assert_quiescent_invariants();
 }
+
+#[test]
+fn llr_exhaustion_flushes_queued_handles_and_drains_the_slab() {
+    // Every node of group 0 sends across the fabric, so the busiest
+    // channel keeps a VOQ backlog. Errors on every traversal of it exhaust
+    // LLR and take it down with handles still queued: `flush_port` must
+    // drop each of them (link-down drops in the same event as the
+    // escalation) and free its slab slot.
+    let send_all = |net: &mut Network| {
+        for i in 0..8u32 {
+            net.send(NodeId(i), NodeId(8 + i), 64 << 10, 0, i as u64);
+        }
+    };
+    let mut probe = Network::new(NetworkConfig::slingshot(tiny()));
+    send_all(&mut probe);
+    probe
+        .run_to_quiescence(10_000_000)
+        .expect("quiesces within budget");
+    let busiest = probe
+        .topology()
+        .channels()
+        .iter()
+        .map(|c| c.id)
+        .max_by_key(|&id| probe.channel_tx_bytes(id))
+        .expect("channels exist");
+
+    let mut cfg = NetworkConfig::slingshot(tiny());
+    let mut schedule = FaultSchedule::empty();
+    schedule.push(
+        SimTime::from_us(1),
+        FaultKind::TransientBurst {
+            channel: busiest,
+            error_rate: 1.0,
+            duration: SimDuration::from_us(30),
+        },
+    );
+    cfg.faults = Some(FaultConfig::new(schedule));
+    let mut net = Network::new(cfg);
+    send_all(&mut net);
+    let mut last = net.fault_stats().expect("fault mode");
+    let mut flushed = 0;
+    let mut steps = 0u64;
+    while net.step() {
+        let now = net.fault_stats().expect("fault mode");
+        if now.llr_escalations > last.llr_escalations {
+            flushed += now.dropped_link_down - last.dropped_link_down;
+        }
+        last = now;
+        assert!(net.take_fatal().is_none(), "accounting error");
+        steps += 1;
+        assert!(steps < 10_000_000, "did not quiesce");
+    }
+
+    assert!(
+        last.dropped_llr_exhausted > 0,
+        "LLR never gave up: {last:?}"
+    );
+    assert!(flushed > 0, "no queued handle was flushed at an escalation");
+    assert!(last.e2e_retransmits > 0, "no end-to-end retransmissions");
+    assert_eq!(delivered_count(&net.take_notifications()), 8);
+    net.assert_fault_conservation();
+    assert_eq!(
+        net.packet_slab_live(),
+        0,
+        "slab holds packets at quiescence"
+    );
+    net.assert_quiescent_invariants();
+}
